@@ -13,7 +13,7 @@ import os
 
 from repro.graphs import MaxCutProblem, weighted_erdos_renyi_graph
 from repro.qaoa import (
-    FastMaxCutEvaluator,
+    ExpectationEvaluator,
     QAOASolver,
     build_maxcut_qaoa_circuit,
     depth_one_landscape,
@@ -42,7 +42,7 @@ def main() -> None:
     )
 
     # Optimize a deeper circuit.  The candidate pool pre-screens random
-    # starts in one batched FWHT evaluation and only optimizes the best few.
+    # starts in one batched evaluation and only optimizes the best few.
     depth = 2 if SMOKE else 3
     pool = 16 if SMOKE else 32
     solver = QAOASolver(
@@ -64,17 +64,15 @@ def main() -> None:
     print(f"Two-qubit gate count: {circuit.two_qubit_gate_count()}, depth: {circuit.depth()}")
 
     # Sample measurement outcomes and report the best sampled cut.
-    evaluator = FastMaxCutEvaluator(problem)
-    samples = evaluator.sample_cut_distribution(
-        result.optimal_parameters, shots=200 if SMOKE else 500, rng=0
-    )
-    best_bitstring = max(samples, key=lambda key: samples[key]["cut_value"])
+    evaluator = ExpectationEvaluator(problem, depth)
+    state = evaluator.program.statevector(result.optimal_parameters)
+    counts = state.sample_counts(200 if SMOKE else 500, rng=0)
+    best_bitstring = max(counts, key=problem.cut_value)
     print(
         f"Best sampled assignment {best_bitstring} cuts "
-        f"{samples[best_bitstring]['cut_value']:.3f} "
+        f"{problem.cut_value(best_bitstring):.3f} "
         f"(optimum {problem.max_cut_value():.3f})"
     )
-
 
 if __name__ == "__main__":
     main()

@@ -12,9 +12,12 @@ Two evaluation tiers mirror the PTM engine split of
 :mod:`repro.quantum.engine`:
 
 * **structured** — :meth:`Lindbladian.rhs` applies the generator to a
-  flattened density matrix through moveaxis/GEMM contractions of the small
-  jump operators and the matrix-free :class:`~repro.dynamics.generators.Hamiltonian`
-  tables, never materialising the ``4^n x 4^n`` superoperator.  This is the
+  flattened density matrix: the jumps on each qubit set are summed once
+  into one small ``4^k x 4^k`` dissipator block acting on the doubled
+  register (the ``_SuperOp`` idea of the compiled engine), applied by one
+  transpose/GEMM contraction per qubit set, and the Hamiltonian commutator
+  goes through the matrix-free :class:`~repro.dynamics.generators.Hamiltonian`
+  tables — never materialising the ``4^n x 4^n`` superoperator.  This is the
   path the integrators drive, and the only one that scales (the dense
   superoperator at ``n = 8`` would occupy ``65536^2`` complex entries,
   roughly 68 GB).
@@ -81,6 +84,47 @@ def _apply_left(
     flat = matrix @ tensor.reshape(2**k, -1)
     tensor = np.moveaxis(flat.reshape(shape), range(k), axes)
     return np.ascontiguousarray(tensor).reshape(array.shape)
+
+
+class _DissipatorBlock:
+    """The summed dissipator of every jump on one qubit tuple.
+
+    On row-major ``vec(rho)`` (row qubit ``q`` is bit ``n + q``, column
+    qubit ``q`` is bit ``q``) a jump contributes
+    ``rate * (L kron conj(L) - 1/2 (L^dag L kron I) - 1/2 (I kron (L^dag L)^T))``
+    on its row and column bits.  Jumps sharing a qubit tuple share the
+    ``4^k x 4^k`` block, so one right-hand-side evaluation costs one
+    transpose/GEMM contraction per qubit tuple instead of four operator
+    applications per jump.
+    """
+
+    __slots__ = ("matrix", "_shape", "_forward", "_moved_shape", "_inverse")
+
+    def __init__(self, qubits: Tuple[int, ...], num_qubits: int):
+        k = len(qubits)
+        self.matrix = np.zeros((4**k, 4**k), dtype=complex)
+        axes = [num_qubits - 1 - q for q in qubits]
+        axes += [2 * num_qubits - 1 - q for q in qubits]
+        rest = [axis for axis in range(2 * num_qubits) if axis not in axes]
+        self._shape = (2,) * (2 * num_qubits)
+        self._forward = tuple(axes + rest)
+        self._moved_shape = (4**k, -1)
+        self._inverse = tuple(np.argsort(self._forward))
+
+    def add(self, jump: "JumpOperator") -> None:
+        identity = np.eye(jump.matrix.shape[0], dtype=complex)
+        self.matrix += jump.rate * (
+            np.kron(jump.matrix, jump.matrix.conj())
+            - 0.5 * np.kron(jump._normal, identity)
+            - 0.5 * np.kron(identity, jump._normal.T)
+        )
+
+    def apply_add(self, rho: np.ndarray, out: np.ndarray) -> None:
+        """``out += D vec(rho)`` for ``(dim, dim)`` arrays (*out* contiguous)."""
+        moved = rho.reshape(self._shape).transpose(self._forward)
+        flat = self.matrix @ moved.reshape(self._moved_shape)
+        target = out.reshape(self._shape)
+        target += flat.reshape(self._shape).transpose(self._inverse)
 
 
 class JumpOperator:
@@ -201,6 +245,12 @@ class Lindbladian:
             if jump.rate > 0.0:
                 prepared.append(jump)
         self._jumps = tuple(prepared)
+        blocks: Dict[Tuple[int, ...], _DissipatorBlock] = {}
+        for jump in self._jumps:
+            if jump.qubits not in blocks:
+                blocks[jump.qubits] = _DissipatorBlock(jump.qubits, num_qubits)
+            blocks[jump.qubits].add(jump)
+        self._blocks = tuple(blocks.values())
         self._superoperator_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -329,24 +379,15 @@ class Lindbladian:
                 f"expected a ({self._dim}, {self._dim}) density matrix, "
                 f"got shape {rho.shape}"
             )
-        out = np.zeros_like(rho)
+        out = np.zeros(rho.shape, dtype=complex)
         if self._hamiltonian is not None:
             # -i (H rho - rho H); rho H = (H rho^dagger)^dagger exactly,
             # without assuming the integrator's stage inputs are Hermitian.
             h_rho = self._hamiltonian_columns(rho, t)
             rho_h = self._hamiltonian_columns(rho.conj().T, t).conj().T
             out += -1j * (h_rho - rho_h)
-        n = self._num_qubits
-        for jump in self._jumps:
-            sandwich = _apply_left(rho, jump.matrix, jump.qubits, n)
-            sandwich = _apply_left(
-                sandwich.conj().T, jump.matrix, jump.qubits, n
-            ).conj().T
-            anti_left = _apply_left(rho, jump._normal, jump.qubits, n)
-            anti_right = _apply_left(
-                rho.conj().T, jump._normal, jump.qubits, n
-            ).conj().T
-            out += jump.rate * (sandwich - 0.5 * (anti_left + anti_right))
+        for block in self._blocks:
+            block.apply_add(rho, out)
         return out
 
     def rhs(self, t: float, vec_rho: np.ndarray) -> np.ndarray:

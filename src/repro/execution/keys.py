@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Optional
 
 #: Hex digest length of every stable key (16 bytes of SHA-256).
 KEY_HEX_DIGITS = 32

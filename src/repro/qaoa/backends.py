@@ -1,4 +1,4 @@
-"""The built-in execution backends: ``fast`` (FWHT) and ``circuit`` (gates).
+"""The built-in execution backends: ``fast`` and ``circuit``.
 
 Each backend is a :class:`~repro.execution.registry.Backend` — capability
 flags plus a :meth:`compile` that lowers one ``(problem, depth)`` pair into
@@ -10,12 +10,17 @@ through that surface, so adding an execution target (array-API/GPU kernels,
 a remote device) is a :func:`~repro.execution.registry.register_backend`
 call, not another wave of ``if backend == "fast"`` branches.
 
+Both backends run on the kernels of :mod:`repro.quantum.engine`.  ``fast``
+lowers MaxCut QAOA straight onto them from the cut-value vector;
+``circuit`` compiles the gate-level circuit of Fig. 1(a).
+
 Importing this module registers both backends; the registry also imports it
 lazily on first lookup, so ``repro.execution`` works stand-alone.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -24,34 +29,83 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.execution.registry import Backend, register_backend
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
-from repro.qaoa.fast_backend import FAST_BACKEND_MAX_QUBITS, FastMaxCutEvaluator
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.density import DensityMatrixSimulator
+from repro.quantum.engine import BATCH_ELEMENT_BUDGET, CompiledProgram
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import StatevectorSimulator
+from repro.quantum.statevector import Statevector
 from repro.utils.rng import RandomState
 
+#: Qubit ceiling of the fast backend.  The limiting resource is memory: one
+#: evaluation at n = 26 needs ~3.1 GiB (state and ping-pong buffer, cut
+#: diagonal, phase index; see docs/backends.md), not compute.
+FAST_BACKEND_MAX_QUBITS = 26
 
-class _FastProgram:
-    """The MaxCut-specialised FWHT evaluator behind the program surface."""
 
-    def __init__(self, problem: MaxCutProblem):
-        self._evaluator = FastMaxCutEvaluator(problem)
+def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
+
+
+def _expectation_batch(program, matrix: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Batched ``probabilities @ diagonal``, in memory-bounded row chunks."""
+    values = np.empty(matrix.shape[0], dtype=float)
+    chunk = max(1, BATCH_ELEMENT_BUDGET // diagonal.size)
+    for start in range(0, matrix.shape[0], chunk):
+        block = matrix[start : start + chunk]
+        values[start : start + block.shape[0]] = program.probability_rows(block) @ diagonal
+    return values
+
+
+class _QAOAProgram:
+    """MaxCut QAOA lowered straight onto the compiled engine kernels.
+
+    :meth:`CompiledProgram.qaoa` builds one distinct-angle diagonal op per
+    cost layer over the cut-value vector and RX(2β)^⊗n mixer blocks; every
+    evolution starts from a uniform fill.  Each call allocates its own
+    buffers, so one program serves concurrent threads.  Noisy trajectories
+    run on the equivalent gate-level program (built on first use): its
+    compiled noise anchors decide where sampled errors land, so a seeded
+    trajectory is the same on both backends by construction.
+    """
+
+    def __init__(self, problem: MaxCutProblem, depth: int):
+        if problem.num_qubits > FAST_BACKEND_MAX_QUBITS:
+            raise SimulationError(
+                f"problem has {problem.num_qubits} qubits, exceeding the fast-backend "
+                f"limit of {FAST_BACKEND_MAX_QUBITS}"
+            )
+        self._problem = problem
+        self._depth = depth
+        self._diagonal = problem.cut_values_table()
+        self._engine = CompiledProgram.qaoa(self._diagonal, depth)
+        self._amplitude = 2.0 ** (-0.5 * problem.num_qubits)
+        self._noisy_program: Optional[_CircuitProgram] = None
+        self._noisy_lock = threading.Lock()
+
+    def _evolve(self, values: np.ndarray) -> np.ndarray:
+        """Final amplitudes for a flat ``(2p,)`` vector or ``(B, 2p)`` rows."""
+        state = np.full(
+            values.shape[:-1] + self._diagonal.shape, self._amplitude, dtype=np.complex128
+        )
+        return self._engine.apply(state, values)
+
+    def statevector(self, parameters: QAOAParameters) -> Statevector:
+        return Statevector(
+            self._evolve(parameters.to_vector()), copy=False, validate=False
+        )
 
     def expectation(self, parameters: QAOAParameters) -> float:
-        return self._evaluator.expectation(parameters)
+        return float(self.probabilities(parameters) @ self._diagonal)
 
     def expectation_batch(self, matrix: np.ndarray) -> np.ndarray:
-        return self._evaluator.expectation_batch(matrix)
+        return _expectation_batch(self, matrix, self._diagonal)
 
     def probabilities(self, parameters: QAOAParameters) -> np.ndarray:
-        return self._evaluator.statevector(parameters).probabilities()
+        return _probabilities(self._evolve(parameters.to_vector()))
 
     def probability_rows(self, block: np.ndarray) -> np.ndarray:
-        # The FWHT sweep produces (dim, batch) amplitude columns; the
-        # batch-major probability rows are a cheap real-matrix view.
-        columns = self._evaluator.statevector_batch(block)
-        return (columns.real**2 + columns.imag**2).T
+        return _probabilities(self._evolve(np.asarray(block, dtype=float)))
 
     def noisy_probabilities(
         self,
@@ -59,8 +113,10 @@ class _FastProgram:
         noise_model: NoiseModel,
         rng: RandomState,
     ) -> np.ndarray:
-        state = self._evaluator.noisy_statevector(parameters, noise_model, rng)
-        return state.probabilities()
+        with self._noisy_lock:
+            if self._noisy_program is None:
+                self._noisy_program = _CircuitProgram(self._problem, self._depth)
+        return self._noisy_program.noisy_probabilities(parameters, noise_model, rng)
 
     def density_probabilities(self, parameters, noise_model):
         raise SimulationError(
@@ -102,7 +158,7 @@ class _CircuitProgram:
                     f"(the density matrix costs 4^n memory), the problem "
                     f"has {problem.num_qubits}"
                 )
-        self._hamiltonian = problem.cost_hamiltonian()
+        self._diagonal = problem.cut_values_table()
         circuit, gammas, betas = build_parametric_qaoa_circuit(problem, depth)
         self._circuit = circuit
         flat_index = {g: i for i, g in enumerate(gammas)}
@@ -116,18 +172,17 @@ class _CircuitProgram:
     def _values(self, parameters: QAOAParameters) -> np.ndarray:
         return parameters.to_vector()[self._column_order]
 
+    def statevector(self, parameters: QAOAParameters) -> Statevector:
+        return self._simulator.run(self._circuit, self._values(parameters))
+
     def expectation(self, parameters: QAOAParameters) -> float:
-        return self._simulator.expectation(
-            self._circuit, self._hamiltonian, self._values(parameters)
-        )
+        return float(self.probabilities(parameters) @ self._diagonal)
 
     def expectation_batch(self, matrix: np.ndarray) -> np.ndarray:
-        return self._simulator.expectation_batch(
-            self._circuit, self._hamiltonian, matrix[:, self._column_order]
-        )
+        return _expectation_batch(self, matrix, self._diagonal)
 
     def probabilities(self, parameters: QAOAParameters) -> np.ndarray:
-        return self._simulator.run(self._circuit, self._values(parameters)).probabilities()
+        return _probabilities(self.statevector(parameters).data)
 
     def probability_rows(self, block: np.ndarray) -> np.ndarray:
         # Stay in the engine's native row layout (skipping run_batch's full
@@ -135,7 +190,7 @@ class _CircuitProgram:
         amplitude_rows = self._simulator._run_batch_rows(
             self._circuit, block[:, self._column_order]
         )
-        return amplitude_rows.real**2 + amplitude_rows.imag**2
+        return _probabilities(amplitude_rows)
 
     def noisy_probabilities(
         self,
@@ -158,7 +213,7 @@ class _CircuitProgram:
 
 
 class FastBackend(Backend):
-    """The MaxCut-specialised FWHT backend (``"fast"``)."""
+    """MaxCut QAOA compiled straight from the cut-value vector (``"fast"``)."""
 
     name = "fast"
     supports_density = False
@@ -172,7 +227,7 @@ class FastBackend(Backend):
                 "the fast backend cannot run the density-matrix oracle; "
                 "use backend='circuit'"
             )
-        return _FastProgram(problem)
+        return _QAOAProgram(problem, depth)
 
 
 class CircuitBackend(Backend):

@@ -8,8 +8,8 @@ is described by one :class:`~repro.execution.context.ExecutionContext`
 object, dispatched through the backend registry of
 :mod:`repro.execution.registry`:
 
-* ``"fast"`` (default) — the MaxCut-specialised
-  :class:`~repro.qaoa.fast_backend.FastMaxCutEvaluator`;
+* ``"fast"`` (default) — MaxCut QAOA lowered straight onto the compiled
+  engine kernels from the cut-value vector;
 * ``"circuit"`` — the gate-level circuit through the general
   :class:`~repro.quantum.simulator.StatevectorSimulator`.
 
@@ -33,12 +33,12 @@ applied as exact Kraus maps, so ``noise_model`` alone no longer makes the
 evaluator stochastic — the noisy expectation is a deterministic number, and
 non-Pauli channels (true amplitude damping) become representable.
 
-The circuit backend builds its parametric QAOA circuit **once** per evaluator
-and lets the simulator's compiled-program cache re-bind it per evaluation, so
-neither :class:`~repro.quantum.circuit.QuantumCircuit` objects nor gate
-matrices are rebuilt inside the optimization loop; whole parameter batches
-run through :meth:`StatevectorSimulator.expectation_batch` in vectorised
-``(dim, batch)`` sweeps.
+Each backend compiles its program **once** per evaluator (the circuit
+backend builds its parametric QAOA circuit once and lets the simulator's
+compiled-program cache re-bind it), so neither
+:class:`~repro.quantum.circuit.QuantumCircuit` objects nor gate matrices are
+rebuilt inside the optimization loop; whole parameter batches run through
+the compiled kernels as vectorised ``(batch, dim)`` sweeps.
 
 Examples
 --------
@@ -320,6 +320,8 @@ class ExpectationEvaluator:
     # Evaluation
     # ------------------------------------------------------------------
     def _validate(self, vector: Sequence[float]) -> QAOAParameters:
+        if isinstance(vector, QAOAParameters):
+            vector = vector.to_vector()
         vector = np.asarray(vector, dtype=float).reshape(-1)
         if vector.size != self.num_parameters:
             raise ConfigurationError(
@@ -330,6 +332,8 @@ class ExpectationEvaluator:
 
     def expectation(self, vector: Sequence[float]) -> float:
         """Cost expectation at the flat parameter vector *vector*.
+
+        A :class:`~repro.qaoa.parameters.QAOAParameters` is accepted too.
 
         Exact by default; with ``shots`` and/or ``noise_model`` configured it
         is the corresponding stochastic estimate (see the class docstring) —
@@ -406,11 +410,11 @@ class ExpectationEvaluator:
     def expectation_batch(self, params_matrix) -> np.ndarray:
         """Cost expectations for a whole ``(batch, 2p)`` matrix of angle sets.
 
-        The fast backend evolves all columns through one vectorized FWHT pass
-        (see :meth:`FastMaxCutEvaluator.expectation_batch`); the circuit
-        backend re-binds its compiled parametric circuit and sweeps the whole
-        batch through :meth:`StatevectorSimulator.expectation_batch` — no
-        per-row Python loop on either backend, so the two stay
+        *params_matrix* may also be a sequence of
+        :class:`~repro.qaoa.parameters.QAOAParameters` or flat vectors of
+        one depth.  Both backends sweep the whole batch through the compiled
+        engine as batch-major ``(batch, dim)`` rows in memory-bounded chunks
+        — no per-row Python loop on either backend, so the two stay
         interchangeable for consumers such as the landscape scan and the
         solver's restart screening.
 
@@ -421,10 +425,19 @@ class ExpectationEvaluator:
         samples), and density mode evaluates one exact density matrix per
         row (4^n memory per state).
         """
+        if not isinstance(params_matrix, np.ndarray):
+            params_matrix = [
+                row.to_vector() if isinstance(row, QAOAParameters) else row
+                for row in params_matrix
+            ]
+            if len({np.size(row) for row in params_matrix}) > 1:
+                raise ConfigurationError(
+                    "all angle sets of a batch must have the same depth"
+                )
         matrix = np.asarray(params_matrix, dtype=float)
         if matrix.ndim == 1:
             matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2 or (matrix.size and matrix.shape[1] != self.num_parameters):
+        if matrix.ndim != 2 or (matrix.shape[0] and matrix.shape[1] != self.num_parameters):
             raise ConfigurationError(
                 f"expected a (batch, {self.num_parameters}) parameter matrix for "
                 f"depth {self._depth}, got shape {matrix.shape}"
@@ -463,7 +476,7 @@ class ExpectationEvaluator:
         """Yield ``(start, stop, rows)`` of exact probability rows.
 
         One batched backend sweep per chunk, chunked to the shared element
-        budget so the whole ``(dim, batch)`` amplitude matrix is never
+        budget so the whole ``(batch, dim)`` amplitude matrix is never
         materialised at once; *rows* is batch-major ``(chunk, dim)``.
         """
         dim = 2 ** self._problem.num_qubits

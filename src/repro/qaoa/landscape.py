@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import BETA_MAX, GAMMA_MAX
 from repro.exceptions import ConfigurationError
 from repro.graphs.maxcut import MaxCutProblem
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
+from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.parameters import QAOAParameters
 
 
@@ -46,11 +46,11 @@ def depth_one_landscape(
     """Scan the depth-1 expectation on a regular (gamma, beta) grid."""
     if gamma_resolution < 2 or beta_resolution < 2:
         raise ConfigurationError("grid resolutions must be at least 2")
-    evaluator = FastMaxCutEvaluator(problem)
+    evaluator = ExpectationEvaluator(problem, depth=1)
     gamma_values = np.linspace(0.0, GAMMA_MAX, gamma_resolution, endpoint=False)
     beta_values = np.linspace(0.0, BETA_MAX, beta_resolution, endpoint=False)
     # The whole grid is one (R*C, 2) parameter batch: every grid point rides
-    # the same vectorized FWHT sweep instead of R*C scalar evaluations.
+    # the same vectorized sweep instead of R*C scalar evaluations.
     gamma_grid, beta_grid = np.meshgrid(gamma_values, beta_values, indexing="ij")
     batch = np.column_stack([gamma_grid.ravel(), beta_grid.ravel()])
     expectations = evaluator.expectation_batch(batch).reshape(

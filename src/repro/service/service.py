@@ -72,6 +72,8 @@ True
 
 from __future__ import annotations
 
+import contextlib
+import os
 import queue
 import threading
 import time
@@ -105,6 +107,7 @@ from repro.service.coalescer import BatchFuture, RequestCoalescer
 from repro.service.jobs import JobHandle
 from repro.service.metrics import ServiceMetrics
 from repro.service.persistence import PersistentResultCache
+from repro.utils.threads import acquire_single_blas_thread, release_single_blas_thread
 
 __all__ = ["SolverService"]
 
@@ -114,7 +117,9 @@ _SHUTDOWN = object()
 class _Job:
     """Internal queue item: a handle plus everything needed to run it."""
 
-    __slots__ = ("handle", "work", "deadline", "cacheable", "backend", "attached")
+    __slots__ = (
+        "handle", "work", "deadline", "cacheable", "backend", "cpu_bound", "attached"
+    )
 
     def __init__(
         self,
@@ -123,6 +128,7 @@ class _Job:
         deadline: Optional[float],
         cacheable: bool,
         backend: Optional[str] = None,
+        cpu_bound: bool = True,
     ):
         self.handle = handle
         self.work = work
@@ -130,6 +136,8 @@ class _Job:
         self.cacheable = cacheable
         #: Execution backend the job runs on (selects its circuit breaker).
         self.backend = backend
+        #: Whether the job takes one of the service's CPU slots while it runs.
+        self.cpu_bound = cpu_bound
         #: Handles of deduplicated submissions fulfilled from this job.
         self.attached: List[JobHandle] = []
 
@@ -143,7 +151,10 @@ class SolverService:
         The :class:`~repro.execution.context.ExecutionContext` every solve
         runs under (default: exact fast backend).
     max_workers:
-        Worker-thread pool size.
+        Worker-thread pool size.  With more than one worker the service
+        pins NumPy's OpenBLAS to one thread until :meth:`shutdown` and runs
+        at most ``os.cpu_count()`` CPU-bound jobs (solves, circuit jobs,
+        anneals) at a time; :meth:`submit_callable` jobs are not limited.
     max_queue:
         Upper bound on queued (not yet running) jobs; ``None`` = unbounded.
         A full queue makes :meth:`submit` raise :class:`ServiceError`.
@@ -312,6 +323,17 @@ class SolverService:
         self._inflight: Dict[str, _Job] = {}
         self._state_lock = threading.Lock()
         self._accepting = True
+        # Thread policy.  With several workers the workers are the
+        # parallelism: BLAS is pinned to one thread for the service's
+        # lifetime, and no more CPU-bound jobs (solves, circuit jobs,
+        # anneals) run at once than the machine has cores, because surplus
+        # solver threads only contend for the GIL and the cores.
+        self._pins_blas = max_workers > 1
+        if self._pins_blas:
+            acquire_single_blas_thread()
+        self._cpu_slots = threading.BoundedSemaphore(
+            min(int(max_workers), os.cpu_count() or 1)
+        )
         self._workers: List[threading.Thread] = []
         for index in range(int(max_workers)):
             worker = threading.Thread(
@@ -489,7 +511,12 @@ class SolverService:
             return handle
 
         job = _Job(
-            handle, work, deadline, cacheable=False, backend=self._context.backend
+            handle,
+            work,
+            deadline,
+            cacheable=False,
+            backend=self._context.backend,
+            cpu_bound=False,
         )
         with self._state_lock:
             if not self._accepting:
@@ -843,7 +870,8 @@ class SolverService:
             try:
                 if self._fault_injector is not None:
                     self._fault_injector.check("worker.run")
-                result = job.work()
+                with self._cpu_slots if job.cpu_bound else contextlib.nullcontext():
+                    result = job.work()
                 if breaker is not None:
                     breaker.record_success()
                 break
@@ -930,6 +958,8 @@ class SolverService:
             for worker in self._workers:
                 worker.join(timeout)
         self._coalescer.stop(drain=drain)
+        if self._pins_blas:
+            release_single_blas_thread()
 
     def __enter__(self) -> "SolverService":
         return self

@@ -12,7 +12,7 @@ from repro.graphs.maxcut import MaxCutProblem
 from repro.graphs.model import Graph
 from repro.ml.kernels import RBFKernel
 from repro.ml.metrics import mean_squared_error, r2_score, root_mean_squared_error
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
+from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.parameters import QAOAParameters, interpolate_parameters
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.simulator import StatevectorSimulator
@@ -56,28 +56,26 @@ class TestQuantumInvariants:
     @given(gamma=angles, beta=angles)
     def test_qaoa_expectation_within_bounds(self, gamma, beta):
         problem = build_problem(5, 0b1011011)
-        evaluator = FastMaxCutEvaluator(problem)
-        value = evaluator.expectation(QAOAParameters((gamma,), (beta,)))
+        evaluator = ExpectationEvaluator(problem, 1)
+        value = evaluator.expectation([gamma, beta])
         assert -1e-9 <= value <= problem.max_cut_value() + 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(gamma=angles, beta=angles)
     def test_beta_symmetry_period(self, gamma, beta):
         problem = build_problem(5, 0b1110101)
-        evaluator = FastMaxCutEvaluator(problem)
-        base = evaluator.expectation(QAOAParameters((gamma,), (beta,)))
-        shifted = evaluator.expectation(
-            QAOAParameters((gamma,), (beta + BETA_SYMMETRY_PERIOD,))
-        )
+        evaluator = ExpectationEvaluator(problem, 1)
+        base = evaluator.expectation([gamma, beta])
+        shifted = evaluator.expectation([gamma, beta + BETA_SYMMETRY_PERIOD])
         assert shifted == pytest.approx(base, abs=1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(gamma=angles, beta=angles)
     def test_gamma_two_pi_period_unweighted(self, gamma, beta):
         problem = build_problem(4, 0b111111)
-        evaluator = FastMaxCutEvaluator(problem)
-        base = evaluator.expectation(QAOAParameters((gamma,), (beta,)))
-        shifted = evaluator.expectation(QAOAParameters((gamma + GAMMA_MAX,), (beta,)))
+        evaluator = ExpectationEvaluator(problem, 1)
+        base = evaluator.expectation([gamma, beta])
+        shifted = evaluator.expectation([gamma + GAMMA_MAX, beta])
         assert shifted == pytest.approx(base, abs=1e-8)
 
 

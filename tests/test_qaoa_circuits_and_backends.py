@@ -12,7 +12,7 @@ from repro.qaoa.circuit_builder import (
     qaoa_gate_counts,
 )
 from repro.qaoa.cost import ExpectationEvaluator
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
+from repro.qaoa.backends import FastBackend
 from repro.qaoa.parameters import QAOAParameters, random_parameters
 from repro.quantum.simulator import StatevectorSimulator
 
@@ -55,64 +55,70 @@ class TestCircuitBuilder:
         assert simulator.run(direct).equiv(simulator.run(bound))
 
 
+def _fast(problem: MaxCutProblem, depth: int) -> ExpectationEvaluator:
+    return ExpectationEvaluator(problem, depth, context="fast")
+
+
 class TestFastBackend:
     def test_agrees_with_circuit_simulation(self, small_problem, rng):
         hamiltonian = small_problem.cost_hamiltonian()
         simulator = StatevectorSimulator()
-        fast = FastMaxCutEvaluator(small_problem)
         for depth in (1, 2, 3):
+            fast = _fast(small_problem, depth)
             params = random_parameters(depth, rng)
             circuit = build_maxcut_qaoa_circuit(small_problem, params)
             circuit_value = simulator.expectation(circuit, hamiltonian)
-            assert fast.expectation(params) == pytest.approx(circuit_value, abs=1e-9)
+            assert fast.expectation(params.to_vector()) == pytest.approx(
+                circuit_value, abs=1e-9
+            )
 
     def test_statevectors_agree_up_to_global_phase(self, triangle_problem, rng):
-        fast = FastMaxCutEvaluator(triangle_problem)
+        program = _fast(triangle_problem, 2).program
         simulator = StatevectorSimulator()
         params = random_parameters(2, rng)
         circuit_state = simulator.run(build_maxcut_qaoa_circuit(triangle_problem, params))
-        assert fast.statevector(params).equiv(circuit_state)
+        assert program.statevector(params).equiv(circuit_state)
 
     def test_zero_angles_give_uniform_state(self, small_problem):
-        fast = FastMaxCutEvaluator(small_problem)
-        value = fast.expectation(QAOAParameters((0.0,), (0.0,)))
+        value = _fast(small_problem, 1).expectation([0.0, 0.0])
         assert value == pytest.approx(small_problem.random_cut_expectation())
 
     def test_single_edge_analytic_formula(self):
         # For a single edge with U_C = exp(-i gamma C) and mixer exp(-i beta X)
         # per qubit, <C>(gamma, beta) = 1/2 + 1/2 sin(4 beta) sin(gamma).
         problem = MaxCutProblem(Graph(2, [(0, 1)]))
-        fast = FastMaxCutEvaluator(problem)
+        fast = _fast(problem, 1)
         for gamma, beta in [(0.3, 0.2), (1.0, 0.7), (2.5, 1.4)]:
             expected = 0.5 + 0.5 * np.sin(4 * beta) * np.sin(gamma)
-            assert fast.expectation(QAOAParameters((gamma,), (beta,))) == pytest.approx(
-                expected, abs=1e-9
-            )
+            assert fast.expectation([gamma, beta]) == pytest.approx(expected, abs=1e-9)
 
     def test_expectation_bounded_by_optimum(self, small_problem, rng):
-        fast = FastMaxCutEvaluator(small_problem)
         optimum = small_problem.max_cut_value()
         for depth in (1, 2):
-            value = fast.expectation(random_parameters(depth, rng))
+            value = _fast(small_problem, depth).expectation(
+                random_parameters(depth, rng).to_vector()
+            )
             assert 0.0 <= value <= optimum + 1e-9
 
     def test_evaluation_counter(self, triangle_problem, rng):
-        fast = FastMaxCutEvaluator(triangle_problem)
-        fast.expectation(random_parameters(1, rng))
-        fast.expectation(random_parameters(1, rng))
+        fast = _fast(triangle_problem, 1)
+        fast.expectation(random_parameters(1, rng).to_vector())
+        fast.expectation(random_parameters(1, rng).to_vector())
         assert fast.num_evaluations == 2
 
     def test_sample_cut_distribution(self, triangle_problem, rng):
-        fast = FastMaxCutEvaluator(triangle_problem)
-        distribution = fast.sample_cut_distribution(random_parameters(1, rng), 50, rng=rng)
-        assert sum(item["count"] for item in distribution.values()) == 50
-        for bitstring, item in distribution.items():
-            assert item["cut_value"] == triangle_problem.cut_value(bitstring)
+        state = _fast(triangle_problem, 1).program.statevector(random_parameters(1, rng))
+        counts = state.sample_counts(50, rng=rng)
+        assert sum(counts.values()) == 50
+        cut_values = triangle_problem.cut_values_table()
+        for bitstring in counts:
+            assert cut_values[int(bitstring, 2)] == triangle_problem.cut_value(bitstring)
 
     def test_qubit_limit(self):
-        problem = MaxCutProblem(Graph(3, [(0, 1), (1, 2)]))
+        # Refused before any 2^n buffer is allocated.
+        problem = MaxCutProblem(Graph(27, [(q, q + 1) for q in range(26)]))
         with pytest.raises(SimulationError):
-            FastMaxCutEvaluator(problem, max_qubits=2)
+            FastBackend().compile(problem, 1)
 
 
 class TestExpectationEvaluator:

@@ -1,4 +1,6 @@
-"""Tests for the FWHT evaluation engine: butterflies, batching, ensembles."""
+"""Tests for the fast backend: transforms, dense oracle, batching, ensembles."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -6,134 +8,166 @@ import pytest
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
+from repro.qaoa.backends import FastBackend
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.ensemble import EnsembleEvaluator
-from repro.qaoa.fast_backend import (
-    DenseMaxCutEvaluator,
-    FastMaxCutEvaluator,
-    fwht_inplace,
-    walsh_hadamard_matrix,
-)
 from repro.qaoa.landscape import depth_one_landscape
 from repro.qaoa.parameters import QAOAParameters, random_parameters
 from repro.qaoa.solver import QAOASolver
+from repro.quantum.engine import CompiledProgram, _h_entries, _KronPowerOp
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _kron_all(matrix: np.ndarray, num_qubits: int) -> np.ndarray:
+    return functools.reduce(np.kron, [matrix] * num_qubits)
+
+
+def _dense_qaoa_state(problem: MaxCutProblem, parameters: QAOAParameters) -> np.ndarray:
+    """Reference QAOA state from dense ``2^n x 2^n`` mixer matrices (small n)."""
+    num_qubits = problem.num_qubits
+    cost = problem.cost_diagonal()
+    state = np.full(2**num_qubits, 2.0 ** (-num_qubits / 2), dtype=complex)
+    for gamma, beta in zip(parameters.gammas, parameters.betas):
+        rx = np.array(
+            [[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]]
+        )
+        state = _kron_all(rx, num_qubits) @ (np.exp(-1j * gamma * cost) * state)
+    return state
+
+
+def _fast(problem: MaxCutProblem, depth: int) -> ExpectationEvaluator:
+    return ExpectationEvaluator(problem, depth, context="fast")
 
 
 class TestFWHT:
+    """The Walsh-Hadamard transform ``H^{(x) n}`` on the engine's Kronecker-power passes."""
+
+    @staticmethod
+    def _transform(num_qubits: int) -> _KronPowerOp:
+        return _KronPowerOp(num_qubits, (None, None, _h_entries, ()))
+
+    @staticmethod
+    def _apply(op: _KronPowerOp, state: np.ndarray) -> np.ndarray:
+        return op.apply(state.copy(), None, np.empty_like(state))[0]
+
     @pytest.mark.parametrize("num_qubits", range(1, 11))
     def test_matches_dense_matrix_on_random_states(self, num_qubits, rng):
         dim = 2**num_qubits
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        dense = walsh_hadamard_matrix(num_qubits) @ state
-        butterfly = fwht_inplace(state.copy()) / np.sqrt(dim)
-        np.testing.assert_allclose(butterfly, dense, atol=1e-10)
+        dense = _kron_all(_HADAMARD, num_qubits) @ state
+        np.testing.assert_allclose(
+            self._apply(self._transform(num_qubits), state), dense, atol=1e-10
+        )
 
     def test_transforms_batch_columns_independently(self, rng):
-        dim, batch = 64, 7
-        matrix = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
-        expected = np.column_stack(
-            [fwht_inplace(matrix[:, j].copy()) for j in range(batch)]
-        )
-        np.testing.assert_allclose(fwht_inplace(matrix.copy()), expected, atol=1e-10)
+        batch, dim = 7, 64
+        rows = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+        op = self._transform(6)
+        expected = np.vstack([self._apply(op, rows[j]) for j in range(batch)])
+        np.testing.assert_allclose(self._apply(op, rows), expected, atol=1e-10)
 
     def test_is_an_involution_up_to_scale(self, rng):
-        state = rng.normal(size=32)
-        twice = fwht_inplace(fwht_inplace(state.copy()))
-        np.testing.assert_allclose(twice, 32 * state, atol=1e-10)
+        # Normalised, so the scale is 1.
+        state = rng.normal(size=32) + 0j
+        op = self._transform(5)
+        np.testing.assert_allclose(self._apply(op, self._apply(op, state)), state, atol=1e-10)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(SimulationError):
-            fwht_inplace(np.zeros(12))
+            CompiledProgram.qaoa(np.zeros(12), 1)
 
     def test_reuses_caller_scratch(self, rng):
-        state = rng.normal(size=16)
-        scratch = np.empty(8)
-        np.testing.assert_allclose(
-            fwht_inplace(state.copy(), scratch), fwht_inplace(state.copy()), atol=1e-12
-        )
+        state = rng.normal(size=16) + 1j * rng.normal(size=16)
+        expected = self._apply(self._transform(4), state)
+        work, scratch = state.copy(), np.empty_like(state)
+        result, _ = self._transform(4).apply(work, None, scratch)
+        # The passes ping-pong between the two caller buffers.
+        assert result is work or result is scratch
+        np.testing.assert_allclose(result, expected, atol=1e-12)
 
 
 class TestFastAgainstDenseOracle:
     @pytest.mark.parametrize("num_nodes", [4, 7, 10])
     def test_statevector_matches_dense(self, num_nodes, rng):
         problem = MaxCutProblem(erdos_renyi_graph(num_nodes, 0.5, seed=num_nodes))
-        fast = FastMaxCutEvaluator(problem)
-        dense = DenseMaxCutEvaluator(problem)
+        program = _fast(problem, 2).program
         for _ in range(3):
             parameters = random_parameters(2, rng)
             np.testing.assert_allclose(
-                fast.statevector(parameters).data,
-                dense.statevector(parameters).data,
+                program.statevector(parameters).data,
+                _dense_qaoa_state(problem, parameters),
                 atol=1e-10,
             )
 
     def test_expectation_matches_dense(self, small_problem, rng):
-        fast = FastMaxCutEvaluator(small_problem)
-        dense = DenseMaxCutEvaluator(small_problem)
         for depth in (1, 3):
             parameters = random_parameters(depth, rng)
-            assert fast.expectation(parameters) == pytest.approx(
-                dense.expectation(parameters), abs=1e-10
-            )
+            dense = _dense_qaoa_state(small_problem, parameters)
+            expected = float(np.abs(dense) ** 2 @ small_problem.cost_diagonal())
+            assert _fast(small_problem, depth).expectation(
+                parameters.to_vector()
+            ) == pytest.approx(expected, abs=1e-10)
 
     def test_no_dense_matrix_attribute(self, small_problem):
-        # The FWHT evaluator must never materialise the 2^n x 2^n transform.
-        evaluator = FastMaxCutEvaluator(small_problem)
+        # The program must never materialise a 2^n x 2^n operator: it holds
+        # the cut diagonal, a compact phase index and <= 16 x 16 blocks.
+        program = _fast(small_problem, 2).program
+        dim = 2**small_problem.num_qubits
         held = [
             value
-            for value in vars(evaluator).values()
+            for value in [*vars(program).values(), *vars(program._engine).values()]
             if isinstance(value, np.ndarray)
         ]
-        assert all(array.ndim == 1 for array in held)
-        assert all(array.size <= evaluator.dim for array in held)
-
-    def test_dense_oracle_refuses_oversized_problems(self):
-        problem = MaxCutProblem(erdos_renyi_graph(16, 0.2, seed=0))
-        with pytest.raises(SimulationError):
-            DenseMaxCutEvaluator(problem)
+        for op in program._engine._ops:
+            held += [getattr(op, name) for name in getattr(op, "__slots__", ())]
+        arrays = [value for value in held if isinstance(value, np.ndarray)]
+        assert arrays
+        assert all(array.ndim == 1 or array.size < dim * dim for array in arrays)
+        assert all(array.size <= dim for array in arrays)
 
     def test_fast_ceiling_is_raised(self, small_problem):
-        # Construction succeeds with the new default ceiling; the old dense
-        # backend capped out at 20 with max_qubits and ~14 in practice.
-        assert FastMaxCutEvaluator(small_problem, max_qubits=26) is not None
+        # The fast backend keeps the FWHT backend's 26-qubit ceiling.
+        assert FastBackend.max_qubits == 26
+        assert FastBackend().compile(small_problem, 1) is not None
 
 
 class TestExpectationBatch:
     def test_matches_looped_scalar_calls(self, small_problem, rng):
-        evaluator = FastMaxCutEvaluator(small_problem)
+        evaluator = _fast(small_problem, 3)
         matrix = np.array([random_parameters(3, rng).to_vector() for _ in range(9)])
         batch = evaluator.expectation_batch(matrix)
         scalars = np.array([evaluator.expectation(row) for row in matrix])
         np.testing.assert_allclose(batch, scalars, atol=1e-12)
 
     def test_accepts_parameter_objects(self, triangle_problem, rng):
-        evaluator = FastMaxCutEvaluator(triangle_problem)
+        evaluator = _fast(triangle_problem, 2)
         params = [random_parameters(2, rng) for _ in range(4)]
         batch = evaluator.expectation_batch(params)
-        scalars = [evaluator.expectation(p) for p in params]
+        scalars = [evaluator.expectation(p.to_vector()) for p in params]
         np.testing.assert_allclose(batch, scalars, atol=1e-12)
 
     def test_counts_evaluations(self, triangle_problem, rng):
-        evaluator = FastMaxCutEvaluator(triangle_problem)
+        evaluator = _fast(triangle_problem, 1)
         evaluator.expectation_batch(
             np.array([random_parameters(1, rng).to_vector() for _ in range(5)])
         )
         assert evaluator.num_evaluations == 5
 
     def test_empty_batch(self, triangle_problem):
-        evaluator = FastMaxCutEvaluator(triangle_problem)
+        evaluator = _fast(triangle_problem, 1)
         assert evaluator.expectation_batch(np.zeros((0, 2))).shape == (0,)
 
     def test_statevector_batch_columns_are_states(self, small_problem, rng):
-        evaluator = FastMaxCutEvaluator(small_problem)
+        program = _fast(small_problem, 2).program
         matrix = np.array([random_parameters(2, rng).to_vector() for _ in range(3)])
-        columns = evaluator.statevector_batch(matrix)
-        norms = np.linalg.norm(columns, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+        rows = program.probability_rows(matrix)
+        assert rows.shape == (3, 2**small_problem.num_qubits)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
 
     def test_mixed_depth_batch_rejected(self, triangle_problem, rng):
-        evaluator = FastMaxCutEvaluator(triangle_problem)
-        with pytest.raises(SimulationError):
+        evaluator = _fast(triangle_problem, 1)
+        with pytest.raises(ConfigurationError):
             evaluator.expectation_batch(
                 [random_parameters(1, rng), random_parameters(2, rng)]
             )
@@ -152,8 +186,9 @@ class TestExpectationBatch:
 
     def test_cost_evaluator_batch_validates_width(self, triangle_problem):
         evaluator = ExpectationEvaluator(triangle_problem, 2, context="fast")
-        with pytest.raises(ConfigurationError):
-            evaluator.expectation_batch(np.zeros((2, 3)))
+        for matrix in (np.zeros((2, 3)), []):
+            with pytest.raises(ConfigurationError):
+                evaluator.expectation_batch(matrix)
 
 
 class TestSolverRewire:
@@ -189,14 +224,11 @@ class TestSolverRewire:
 
     def test_landscape_matches_scalar_scan(self, triangle_problem):
         scan = depth_one_landscape(triangle_problem, gamma_resolution=6, beta_resolution=5)
-        evaluator = FastMaxCutEvaluator(triangle_problem)
+        evaluator = _fast(triangle_problem, 1)
         for i, gamma in enumerate(scan.gamma_values):
             for j, beta in enumerate(scan.beta_values):
                 assert scan.expectations[i, j] == pytest.approx(
-                    evaluator.expectation(
-                        QAOAParameters((float(gamma),), (float(beta),))
-                    ),
-                    abs=1e-12,
+                    evaluator.expectation([float(gamma), float(beta)]), abs=1e-12
                 )
 
 
@@ -213,7 +245,7 @@ class TestEnsembleEvaluator:
         values = evaluator.expectation(vector)
         assert values.shape == (4,)
         for problem, value in zip(problems, values):
-            expected = FastMaxCutEvaluator(problem).expectation(vector)
+            expected = _fast(problem, 2).expectation(vector)
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_batch_shape(self, problems, rng):
@@ -244,15 +276,13 @@ class TestEnsembleEvaluator:
 
 class TestSampleCountsVectorized:
     def test_counts_sum_to_shots(self, small_problem, rng):
-        state = FastMaxCutEvaluator(small_problem).statevector(
-            random_parameters(1, rng)
-        )
+        state = _fast(small_problem, 1).program.statevector(random_parameters(1, rng))
         counts = state.sample_counts(500, rng=rng)
         assert sum(counts.values()) == 500
         assert all(len(key) == small_problem.num_qubits for key in counts)
 
     def test_deterministic_given_seeded_rng(self, small_problem):
-        state = FastMaxCutEvaluator(small_problem).statevector(
+        state = _fast(small_problem, 1).program.statevector(
             QAOAParameters((0.4,), (0.3,))
         )
         first = state.sample_counts(200, rng=np.random.default_rng(42))

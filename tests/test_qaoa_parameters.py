@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import BETA_MAX, BETA_SYMMETRY_PERIOD, GAMMA_MAX
 from repro.exceptions import ConfigurationError
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
+from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.parameters import (
     QAOAParameters,
     canonicalize_for_graph,
@@ -81,7 +81,7 @@ class TestCanonicalization:
         np.testing.assert_allclose(once.to_vector(), twice.to_vector(), atol=1e-12)
 
     def test_expectation_invariant_under_canonicalization(self, small_problem, rng):
-        evaluator = FastMaxCutEvaluator(small_problem)
+        evaluator = ExpectationEvaluator(small_problem, 2)
         for _ in range(5):
             params = random_parameters(2, rng)
             shifted = QAOAParameters(
@@ -93,7 +93,7 @@ class TestCanonicalization:
             )
 
     def test_conjugation_symmetry_of_expectation(self, small_problem, rng):
-        evaluator = FastMaxCutEvaluator(small_problem)
+        evaluator = ExpectationEvaluator(small_problem, 3)
         params = random_parameters(3, rng)
         conjugated = QAOAParameters(
             tuple(-g for g in params.gammas), tuple(-b for b in params.betas)
@@ -110,7 +110,7 @@ class TestGraphAwareCanonicalization:
         assert all(0.0 <= g <= math.pi + 1e-9 for g in canonical.gammas)
 
     def test_expectation_invariant_on_regular_graph(self, regular_problem, rng):
-        evaluator = FastMaxCutEvaluator(regular_problem)
+        evaluator = ExpectationEvaluator(regular_problem, 2)
         for _ in range(4):
             params = random_parameters(2, rng)
             canonical = canonicalize_for_graph(params, regular_problem.graph)

@@ -19,7 +19,6 @@ from repro.qaoa.circuit_builder import (
     build_parametric_qaoa_circuit,
 )
 from repro.qaoa.cost import ExpectationEvaluator
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
 from repro.qaoa.parameters import random_parameters
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.engine import CompiledProgram, compile_circuit
@@ -288,7 +287,7 @@ class TestBackendEquivalence:
     def test_backends_agree_on_weighted_graph(self, rng):
         graph = Graph(5, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, -1.25), (3, 4, 0.75), (0, 4, 1.5)])
         problem = MaxCutProblem(graph)
-        fast = FastMaxCutEvaluator(problem)
+        fast = ExpectationEvaluator(problem, 3, context="fast")
         circuit_ev = ExpectationEvaluator(problem, 3, context="circuit")
         for _ in range(3):
             parameters = random_parameters(3, rng)
@@ -310,7 +309,7 @@ class TestBackendEquivalence:
         parameters = random_parameters(3, rng)
         circuit = build_maxcut_qaoa_circuit(problem, parameters)
         compiled_state = StatevectorSimulator().run(circuit)
-        fast_state = FastMaxCutEvaluator(problem).statevector(parameters)
+        fast_state = ExpectationEvaluator(problem, 3).program.statevector(parameters)
         assert compiled_state.equiv(fast_state)
 
 
@@ -338,7 +337,9 @@ class TestPauliSumDiagonalCache:
     def test_expectation_uses_cache_consistently(self, rng):
         problem = MaxCutProblem(erdos_renyi_graph(5, 0.6, seed=4))
         hamiltonian = problem.cost_hamiltonian()
-        state = FastMaxCutEvaluator(problem).statevector(random_parameters(1, rng))
+        state = ExpectationEvaluator(problem, 1).program.statevector(
+            random_parameters(1, rng)
+        )
         first = hamiltonian.expectation(state)
         second = hamiltonian.expectation(state)
         assert first == pytest.approx(second, abs=0)

@@ -9,7 +9,6 @@ from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.cost import ExpectationEvaluator
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrixSimulator
@@ -384,46 +383,39 @@ class TestNoisySimulation:
 
 class TestFastBackendNoise:
     def test_noisy_statevector_deterministic(self):
-        problem = _problem()
-        evaluator = FastMaxCutEvaluator(problem)
+        program = ExpectationEvaluator(_problem(), 1).program
         model = NoiseModel.uniform_depolarizing(0.05)
         parameters = QAOAParameters(gammas=(0.4,), betas=(0.3,))
-        first = evaluator.noisy_statevector(parameters, model, rng=2)
-        second = evaluator.noisy_statevector(parameters, model, rng=2)
-        assert np.array_equal(first.data, second.data)
+        first = program.noisy_probabilities(parameters, model, 2)
+        second = program.noisy_probabilities(parameters, model, 2)
+        assert np.array_equal(first, second)
 
     def test_matches_circuit_backend_trajectory(self):
         """Same seed, same trajectory on the fast and circuit backends."""
         problem = _problem()
-        circuit, _ = _bound_circuit(problem, 2)
         model = NoiseModel.uniform_depolarizing(0.05)
         parameters = QAOAParameters(gammas=(0.4, 0.1), betas=(0.3, 0.2))
         for seed in range(4):
-            fast_state = FastMaxCutEvaluator(problem).noisy_statevector(
-                parameters, model, rng=seed
-            )
-            evaluator = ExpectationEvaluator(
-                problem,
-                2,
-                context=ExecutionContext(
-                    backend="circuit", noise_model=model, trajectories=1
-                ),
-                rng=seed,
-            )
-            fast_value = float(
-                fast_state.probabilities() @ problem.cost_diagonal()
-            )
-            circuit_value = evaluator.expectation(parameters.to_vector())
-            assert fast_value == pytest.approx(circuit_value, abs=1e-9)
+            values = [
+                ExpectationEvaluator(
+                    problem,
+                    2,
+                    context=ExecutionContext(
+                        backend=backend, noise_model=model, trajectories=1
+                    ),
+                    rng=seed,
+                ).expectation(parameters.to_vector())
+                for backend in ("fast", "circuit")
+            ]
+            assert values[0] == pytest.approx(values[1], abs=1e-9)
 
     def test_zero_noise_trajectory_equals_exact_state(self):
-        problem = _problem()
-        evaluator = FastMaxCutEvaluator(problem)
+        program = ExpectationEvaluator(_problem(), 1).program
         model = NoiseModel().add_channel(DepolarizingChannel(0.0))
         parameters = QAOAParameters(gammas=(0.4,), betas=(0.3,))
-        noisy = evaluator.noisy_statevector(parameters, model, rng=0)
-        exact = evaluator.statevector(parameters)
-        assert np.allclose(noisy.data, exact.data, atol=1e-12)
+        noisy = program.noisy_probabilities(parameters, model, 0)
+        exact = program.probabilities(parameters)
+        assert np.allclose(noisy, exact, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

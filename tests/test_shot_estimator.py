@@ -21,7 +21,6 @@ from repro.graphs.maxcut import MaxCutProblem
 from repro.optimizers.spsa import SPSAOptimizer
 from repro.prediction.pipeline import PredictorPipelineConfig, train_default_predictor
 from repro.qaoa.cost import ExpectationEvaluator
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
 from repro.qaoa.parameters import QAOAParameters
 from repro.qaoa.solver import QAOASolver
 from repro.quantum.noise import (
@@ -38,7 +37,7 @@ def _problem(seed: int = 3, nodes: int = 6) -> MaxCutProblem:
 
 
 def _qaoa_state(problem: MaxCutProblem) -> Statevector:
-    return FastMaxCutEvaluator(problem).statevector(
+    return ExpectationEvaluator(problem, 1).program.statevector(
         QAOAParameters(gammas=(0.4,), betas=(0.3,))
     )
 
@@ -111,10 +110,9 @@ class TestShotEstimator:
 
     def test_estimate_batch_shapes_and_determinism(self):
         problem = _problem()
-        evaluator = FastMaxCutEvaluator(problem)
+        program = ExpectationEvaluator(problem, 1).program
         matrix = np.array([[0.4, 0.3], [0.1, 0.2], [0.7, 0.9]])
-        columns = evaluator.statevector_batch(matrix)
-        probabilities = columns.real**2 + columns.imag**2
+        probabilities = program.probability_rows(matrix).T
         first = ShotEstimator(problem.cost_diagonal(), 200, rng=4).estimate_batch(
             probabilities
         )
