@@ -238,6 +238,54 @@ def test_structured_matvec_vs_dense_expm(bench_smoke):
         assert speedup >= _MATVEC_SPEEDUP_FLOOR, (speedup, _MATVEC_SPEEDUP_FLOOR)
 
 
+def _structured_entry(num_qubits: int, dense: str) -> dict:
+    rate, horizon = 0.2, 1.0
+    problem = MaxCutProblem(erdos_renyi_graph(num_qubits, 0.6, seed=1))
+    ham = Hamiltonian(problem.cost_hamiltonian())
+    lind = Lindbladian.depolarizing(num_qubits, rate, hamiltonian=ham)
+    dim = 1 << num_qubits
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    result = evolve(lind, rho0, times=horizon, rtol=1e-8, atol=1e-10)
+    structured_time = _best_of(
+        3, lambda: evolve(lind, rho0, times=horizon, rtol=1e-8, atol=1e-10)
+    )
+    return {
+        "num_qubits": num_qubits,
+        "rate": rate,
+        "time": horizon,
+        "structured_ms": structured_time * 1e3,
+        "num_steps": result.num_steps,
+        "rhs_evaluations": result.num_rhs_evaluations,
+        "trace_drift": result.invariant_drift,
+        "dense_baseline": dense,
+    }
+
+
+def test_structured_lindblad_beyond_the_gated_size(bench_smoke):
+    """Record-only: the gated n = 5 workload at n = 6 and n = 7.
+
+    Same generator, horizon and tolerances as
+    :func:`test_structured_matvec_vs_dense_expm`, no dense baseline and no
+    gate.  At n = 6 the dense superoperator (4096 x 4096, 268 MB) still
+    fits under ``DENSE_SUPEROP_MAX_QUBITS``, but its ``expm`` costs 64x the
+    n = 5 one (dim^3) with several such temporaries, too much for a
+    benchmark run; at n = 7 the 16384 x 16384 matrix alone is 4.3 GB.
+    """
+    _RESULTS["structured_beyond_gate"] = {
+        "n6": _structured_entry(
+            6,
+            "not run: expm of the 4096 x 4096 dense superoperator costs 64x "
+            "the n = 5 baseline (dim^3) and several 268 MB temporaries",
+        ),
+        "n7": _structured_entry(
+            7,
+            "infeasible: the 16384 x 16384 dense superoperator alone is "
+            "4.3 GB, above DENSE_SUPEROP_MAX_QUBITS",
+        ),
+    }
+
+
 def test_structured_path_scales_past_dense_ceiling(bench_smoke):
     """The structured path runs the issue's n = 8 workload the dense oracle
     cannot: the ``4^8 x 4^8`` superoperator alone would need ~68 GB, so only

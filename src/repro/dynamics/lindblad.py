@@ -15,7 +15,8 @@ Two evaluation tiers mirror the PTM engine split of
   flattened density matrix: the jumps on each qubit set are summed once
   into one small ``4^k x 4^k`` dissipator block acting on the doubled
   register (the ``_SuperOp`` idea of the compiled engine), applied by one
-  transpose/GEMM contraction per qubit set, and the Hamiltonian commutator
+  transpose/GEMM contraction per qubit set (the engine's frame
+  contraction), and the Hamiltonian commutator
   goes through the matrix-free :class:`~repro.dynamics.generators.Hamiltonian`
   tables — never materialising the ``4^n x 4^n`` superoperator.  This is the
   path the integrators drive, and the only one that scales (the dense
@@ -54,6 +55,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.quantum.density import _apply_left
+from repro.quantum.engine import _FrameContraction
 
 #: Dense superoperator ceiling: ``4^n x 4^n`` entries (n=6 is ~270 MB).
 DENSE_SUPEROP_MAX_QUBITS = 6
@@ -68,24 +71,6 @@ JUMP_OPERATORS: Dict[str, np.ndarray] = {
 }
 
 
-def _apply_left(
-    array: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Left-multiply a ``2^k`` operator onto the row index of ``(dim, dim)``.
-
-    Same moveaxis/GEMM contraction as the density-matrix simulator: the
-    column index rides along as a flattened batch axis.
-    """
-    k = len(qubits)
-    axes = [num_qubits - 1 - q for q in qubits]
-    tensor = array.reshape((2,) * num_qubits + (-1,))
-    tensor = np.moveaxis(tensor, axes, range(k))
-    shape = tensor.shape
-    flat = matrix @ tensor.reshape(2**k, -1)
-    tensor = np.moveaxis(flat.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(tensor).reshape(array.shape)
-
-
 class _DissipatorBlock:
     """The summed dissipator of every jump on one qubit tuple.
 
@@ -98,18 +83,14 @@ class _DissipatorBlock:
     applications per jump.
     """
 
-    __slots__ = ("matrix", "_shape", "_forward", "_moved_shape", "_inverse")
+    __slots__ = ("matrix", "_plan")
 
     def __init__(self, qubits: Tuple[int, ...], num_qubits: int):
         k = len(qubits)
         self.matrix = np.zeros((4**k, 4**k), dtype=complex)
-        axes = [num_qubits - 1 - q for q in qubits]
-        axes += [2 * num_qubits - 1 - q for q in qubits]
-        rest = [axis for axis in range(2 * num_qubits) if axis not in axes]
-        self._shape = (2,) * (2 * num_qubits)
-        self._forward = tuple(axes + rest)
-        self._moved_shape = (4**k, -1)
-        self._inverse = tuple(np.argsort(self._forward))
+        self._plan = _FrameContraction(
+            [num_qubits + q for q in qubits] + list(qubits), 2 * num_qubits
+        )
 
     def add(self, jump: "JumpOperator") -> None:
         identity = np.eye(jump.matrix.shape[0], dtype=complex)
@@ -121,10 +102,7 @@ class _DissipatorBlock:
 
     def apply_add(self, rho: np.ndarray, out: np.ndarray) -> None:
         """``out += D vec(rho)`` for ``(dim, dim)`` arrays (*out* contiguous)."""
-        moved = rho.reshape(self._shape).transpose(self._forward)
-        flat = self.matrix @ moved.reshape(self._moved_shape)
-        target = out.reshape(self._shape)
-        target += flat.reshape(self._shape).transpose(self._inverse)
+        self._plan.apply_add(self.matrix, rho, out)
 
 
 class JumpOperator:

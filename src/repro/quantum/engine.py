@@ -74,6 +74,14 @@ _BMM_MAX_BITS = 3
 #: n = 8 to n = 20, scalar and batched.
 _KRON_PASS_BITS = 4
 
+#: Widest source-qubit frame one fused PTM superoperator kernel may span.
+#: Measured per warm noisy call at n = 6, p = 2 under uniform depolarizing
+#: noise (2-core x86 box, OpenBLAS, median of 21): frame widths 1/2/3/4 ran
+#: 58/17/8/5 kernels in 2.2 / 1.3 / 3.9 / 87 ms.  Two qubits cover every
+#: CX-RZ-CX edge sandwich and pairs of the H and RX walls; wider frames fuse
+#: more but lose to binding and applying 64x64 and larger superoperators.
+_SUPEROP_FRAME_QUBITS = 2
+
 #: Peak complex128 elements evolved per batched sweep (~256 MiB).  Shared by
 #: every chunked batch consumer (the simulator's ``expectation_batch`` and
 #: the fast backend) so their memory policies cannot silently diverge.
@@ -202,9 +210,8 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product on the trailing two axes (fast, batch-aware)."""
     rows_a, cols_a = a.shape[-2:]
     rows_b, cols_b = b.shape[-2:]
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(batch + (rows_a * rows_b, cols_a * cols_b))
+    return product.reshape(product.shape[:-4] + (rows_a * rows_b, cols_a * cols_b))
 
 
 # ---------------------------------------------------------------------------
@@ -1103,14 +1110,21 @@ def compile_circuit(circuit: QuantumCircuit) -> CompiledProgram:
 # doubled register (gates on row qubits first, conjugate gates on column
 # qubits — the two halves act on disjoint qubits, so the grouping is exact
 # and keeps the diagonal/GEMM fusion passes effective) and lowered through
-# CompiledProgram unchanged.  Each *noisy* instruction becomes one _SuperOp:
-# the channel superoperators ``sum_k K ⊗ conj(K)`` (rule-major, matching the
-# per-instruction Kraus oracle) composed with the instruction's own
-# ``U ⊗ conj(U)``, applied as a single dense contraction over the
-# instruction's row+column qubits.  Placement is exactly per-instruction, so
-# the compiled path agrees with the oracle to machine precision while
-# touching the full 4^n vector ~3 times per noisy instruction instead of
-# once per Kraus term per channel.
+# CompiledProgram unchanged.  Consecutive *noisy* instructions whose operands
+# span at most _SUPEROP_FRAME_QUBITS source qubits (a CX-RZ-CX edge
+# sandwich, two gates of an H or RX wall) fuse into one _SuperOp on that
+# frame: the product ``S_k ... S_1`` with ``S_i = C_i (U_i ⊗ conj(U_i))``,
+# where ``C_i`` composes the instruction's channel superoperators
+# ``sum_k K ⊗ conj(K)`` in rule-major order (matching the per-instruction
+# Kraus oracle).  "Consecutive" is up to exact commutation: an instruction
+# may join an earlier run across runs on disjoint qubits, never across one
+# sharing a qubit or a noise-free instruction.  Static runs of factors are
+# multiplied out at compile time; only parametric unitaries are rebuilt per
+# call, once per distinct fused map.  Placement stays exactly
+# per-instruction, so the compiled path agrees with the oracle to machine
+# precision while each fused frame costs one transpose and one GEMM over the
+# 4^n vector, instead of one contraction per Kraus term per channel per
+# instruction.
 
 #: Gates whose matrix is real: the conjugate instruction is the gate itself.
 _REAL_GATES = frozenset({"id", "x", "z", "h", "ry", "cx", "cz", "swap"})
@@ -1160,91 +1174,237 @@ def _conjugate_instruction(inst: Instruction, offset: int) -> Instruction:
     )
 
 
+#: The zero appended to a flattened operator before an :func:`_embed_gather`.
+_ZERO_SLOT = np.zeros(1, dtype=np.complex128)
+_ZERO_SLOT.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _embed_gather(positions: Tuple[int, ...], width: int) -> np.ndarray:
+    """Gather index embedding a k-qubit operator into a *width*-qubit frame.
+
+    Entry ``(row, col)`` indexes the operator's flattened entries, or the
+    one-past-the-end slot (the zero :func:`_embed_operator` appends) where
+    *row* and *col* differ on a frame bit the operator does not act on.
+    Read-only: every caller shares the cached array.
+    """
+    basis = np.arange(1 << width)
+    bits = tuple(width - 1 - p for p in positions)
+    sub = _expand_sub_index(basis, bits)
+    rest = basis & ~sum(1 << bit for bit in bits)
+    index = sub[:, None] * (1 << len(bits)) + sub[None, :]
+    index[rest[:, None] != rest[None, :]] = 1 << (2 * len(bits))
+    index.setflags(write=False)
+    return index
+
+
 def _embed_operator(operator: np.ndarray, positions, width: int) -> np.ndarray:
     """Embed a k-qubit operator acting on *positions* of a *width*-qubit frame.
 
     Frame position 0 is the most-significant bit of the frame basis (the
     gate-registry convention); *positions* lists the operator's qubits from
-    its own most-significant bit downwards.  Frames here are instruction
-    operand lists, so ``width <= 2`` and the dense loop is at most 16x16.
+    its own most-significant bit downwards.  One gather, no arithmetic.
     """
-    if positions == list(range(width)):
-        return np.asarray(operator, dtype=np.complex128)
-    dim = 1 << width
-    target_bits = [width - 1 - p for p in positions]
-    rest_bits = [b for b in range(width) if b not in target_bits]
-    embedded = np.zeros((dim, dim), dtype=np.complex128)
-    for row in range(dim):
-        row_sub = 0
-        for bit in target_bits:
-            row_sub = (row_sub << 1) | ((row >> bit) & 1)
-        row_rest = [(row >> bit) & 1 for bit in rest_bits]
-        for col in range(dim):
-            if [(col >> bit) & 1 for bit in rest_bits] != row_rest:
-                continue
-            col_sub = 0
-            for bit in target_bits:
-                col_sub = (col_sub << 1) | ((col >> bit) & 1)
-            embedded[row, col] = operator[row_sub, col_sub]
-    return embedded
+    positions = tuple(positions)
+    operator = np.asarray(operator, dtype=np.complex128)
+    if positions == tuple(range(width)):
+        return operator
+    padded = np.concatenate((operator.reshape(-1), _ZERO_SLOT))
+    return padded[_embed_gather(positions, width)]
 
 
-def _frame_channel_superoperator(channel, targets, frame) -> np.ndarray:
-    """A channel's superoperator embedded into an instruction's operand frame.
+def _doubled(positions, width: int) -> Tuple[int, ...]:
+    """Positions of a ``(row) ⊗ (column)`` operator in a doubled frame.
+
+    A frame of *width* source qubits is a ``2 * width``-qubit frame on
+    ``vec(rho)``: row copies at positions ``0..width-1``, then the column
+    copies in the same order.
+    """
+    return tuple(positions) + tuple(width + p for p in positions)
+
+
+def _frame_channel_superoperator(channel, targets, operands, frame, memo: dict) -> np.ndarray:
+    """A channel's superoperator embedded into a fused kernel's frame.
 
     *targets* is the operand tuple the channel fires on (a subset of
-    *frame*, the instruction's qubits); the result acts on
+    *operands*, the qubits of the instruction it is attached to, which lie
+    in *frame*, the kernel's source qubits); the result acts on
     ``vec(rho_frame)`` in the ``(row sub-space) ⊗ (column sub-space)``
-    basis used by :class:`_SuperOp`.
+    basis used by :class:`_SuperOp`.  *memo* caches results within one
+    compile, keyed on the channel's identity (the noise model keeps every
+    channel alive while it compiles), the target positions and the frame
+    width.
     """
-    frame = tuple(frame)
-    positions = []
     for qubit in targets:
-        if qubit not in frame:
+        if qubit not in operands:
             raise ConfigurationError(
                 f"channel {channel.name!r} targets qubit {qubit}, which is "
                 f"not an operand of the instruction it is attached to "
-                f"(operands {frame})"
+                f"(operands {tuple(operands)})"
             )
-        positions.append(frame.index(qubit))
+    positions = tuple(frame.index(qubit) for qubit in targets)
     width = len(frame)
-    if positions == list(range(width)):
-        return np.asarray(channel.superoperator(), dtype=np.complex128)
-    sub_dim = 1 << width
-    matrix = np.zeros((sub_dim * sub_dim,) * 2, dtype=np.complex128)
-    for kraus in channel.kraus_operators():
-        embedded = _embed_operator(kraus, positions, width)
-        matrix += np.kron(embedded, embedded.conj())
+    key = (id(channel), positions, width)
+    matrix = memo.get(key)
+    if matrix is None:
+        matrix = memo[key] = _embed_operator(
+            channel.superoperator(), _doubled(positions, width), 2 * width
+        )
     return matrix
 
 
-class _SuperOp(_GenericOp):
-    """One noisy instruction as a single superoperator kernel on vec(rho).
+def _relayout(source: Sequence[int], target: Sequence[int]):
+    """``(shape, axes)`` re-ordering a register tensor's bits.
 
-    *qubits* lists the instruction's row (shifted) qubits first, then its
-    column qubits, so the kernel's matrix basis is
-    ``(row sub-space) ⊗ (column sub-space)`` — the ordering of both
-    ``kron(U, conj(U))`` and the embedded channel superoperators.  Static
-    instructions precompute the full ``channel_super @ (U ⊗ conj(U))``
-    matrix; parametric ones rebuild only the unitary factor per bind.
+    *source* and *target* list the same register bits, most-significant
+    axis first.  ``x.reshape(shape).transpose(axes)`` views an array laid
+    out in *source* order in *target* order; bits adjacent in both orders
+    share one axis, which keeps the transpose low-rank.
+    """
+    position = {bit: index for index, bit in enumerate(source)}
+    runs: list = []  # maximal target-order runs contiguous in source order
+    for bit in target:
+        if runs and runs[-1][-1] == position[bit] - 1:
+            runs[-1].append(position[bit])
+        else:
+            runs.append([position[bit]])
+    order = sorted(range(len(runs)), key=lambda run: runs[run][0])
+    shape = tuple(1 << len(runs[run]) for run in order)
+    axis_of = {run: axis for axis, run in enumerate(order)}
+    return shape, tuple(axis_of[run] for run in range(len(runs)))
+
+
+class _FrameContraction:
+    """One matrix applied to a frame of register bits by transpose + GEMM.
+
+    *bits* lists the frame's register bits, the first being the
+    most-significant bit of the matrix basis.  The state arrives with its
+    bits in *layout* order (most-significant axis first; ``None`` is the
+    canonical descending order).  One transpose brings the frame bits to the
+    front for a single ``(2^k, rest)`` GEMM, which leaves the product in that
+    frame-first order, :attr:`layout`.  With *restore*, a second transpose
+    returns it to canonical order.  Letting consecutive kernels hand over a
+    frame-first layout saves one full transpose per kernel.  Holds no
+    buffers, so one plan is safe to share between threads.  Used by the PTM
+    :class:`_SuperOp` and by the Lindblad dissipator blocks of
+    :mod:`repro.dynamics.lindblad`, which contract on the same doubled
+    register.
     """
 
-    __slots__ = ("channel_super",)
+    __slots__ = ("layout", "_shape", "_axes", "_rows", "_restore")
 
-    def __init__(self, name, qubits, num_qubits, channel_super, matrix=None, refs=()):
-        super().__init__(name, qubits, num_qubits, matrix=matrix, refs=refs)
-        self.channel_super = channel_super
+    def __init__(self, bits: Sequence[int], num_bits: int, layout=None, restore=True):
+        canonical = tuple(range(num_bits - 1, -1, -1))
+        source = canonical if layout is None else tuple(layout)
+        frame_first = tuple(bits) + tuple(bit for bit in source if bit not in bits)
+        self._shape, self._axes = _relayout(source, frame_first)
+        self._rows = 1 << len(bits)
+        self._restore = _relayout(frame_first, canonical) if restore else None
+        self.layout = None if restore else frame_first
 
-    def apply(self, state, values, scratch):
-        if self.matrix is not None:
-            self._apply_matrix(state, self.matrix)
-            return state, scratch
-        resolved = [float(_resolve_ref(ref, values)) for ref in self.refs]
-        unitary = gate_matrix(self.name, *resolved)
-        self._apply_matrix(
-            state, self.channel_super @ np.kron(unitary, unitary.conj())
+    def _moved(self, state: np.ndarray) -> np.ndarray:
+        return state.reshape(self._shape).transpose(self._axes)
+
+    def apply(self, matrix: np.ndarray, state: np.ndarray, scratch: np.ndarray):
+        """Ping-pong application; returns ``(result, spare)``.
+
+        *state* and *scratch* are distinct contiguous buffers of one size;
+        both are overwritten, and the result is in :attr:`layout` order.
+        """
+        moved = self._moved(state)
+        np.copyto(scratch.reshape(moved.shape), moved)
+        np.matmul(
+            matrix, scratch.reshape(self._rows, -1), out=state.reshape(self._rows, -1)
         )
-        return state, scratch
+        if self._restore is None:
+            return state, scratch
+        shape, axes = self._restore
+        back = state.reshape(shape).transpose(axes)
+        np.copyto(scratch.reshape(back.shape), back)
+        return scratch, state
+
+    def apply_add(self, matrix: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+        """``out += matrix @ state`` in canonical order; *state* is not modified.
+
+        Needs a plan built with the canonical *layout* and *restore*.
+        """
+        product = matrix @ self._moved(state).reshape(self._rows, -1)
+        shape, axes = self._restore
+        back = product.reshape(shape).transpose(axes)
+        target = out.reshape(back.shape)
+        target += back
+
+
+class _ParametricUnitary:
+    """A parametric gate's ``U ⊗ conj(U)`` on a fused kernel's doubled frame."""
+
+    __slots__ = ("name", "refs", "positions", "width")
+
+    def __init__(self, name: str, refs, positions: Tuple[int, ...], width: int):
+        self.name = name
+        self.refs = refs
+        self.positions = positions
+        self.width = width
+
+    @property
+    def key(self) -> tuple:
+        return (self.name, self.refs, self.positions, self.width)
+
+    def bind(self, values) -> np.ndarray:
+        unitary = gate_matrix(
+            self.name, *[float(_resolve_ref(ref, values)) for ref in self.refs]
+        )
+        return _embed_operator(_kron2(unitary, unitary.conj()), self.positions, self.width)
+
+
+class _FusedMap:
+    """The superoperator ``S_k ... S_1`` of one fused run, in its frame basis.
+
+    *factors* is the product in application order: static matrices (each
+    run of static gates and channels multiplied out at compile time) and
+    :class:`_ParametricUnitary` factors rebuilt per bind.  A fully static
+    run is a single precomputed matrix.  Kernels whose runs have identical
+    factors share one map (the edge sandwiches of a QAOA layer, say), so a
+    call binds it once.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: list):
+        self.factors = factors
+
+    def bind(self, values) -> np.ndarray:
+        matrix = None
+        for factor in self.factors:
+            step = factor if isinstance(factor, np.ndarray) else factor.bind(values)
+            matrix = step if matrix is None else step @ matrix
+        return matrix
+
+
+class _SuperOp:
+    """A fused run of noisy instructions as one superoperator kernel on vec(rho).
+
+    *bits* lists the frame's row (shifted) qubits first, then its column
+    qubits, so the kernel's matrix basis is ``(row sub-space) ⊗ (column
+    sub-space)`` — the ordering of both ``kron(U, conj(U))`` and the
+    embedded channel superoperators of its :class:`_FusedMap`.  The
+    enclosing program sets :attr:`contraction` once the layouts of its
+    neighbouring kernels are known.
+    """
+
+    __slots__ = ("bits", "map", "contraction")
+
+    def __init__(self, bits: Tuple[int, ...], fused: _FusedMap):
+        self.bits = bits
+        self.map = fused
+        self.contraction: Optional[_FrameContraction] = None
+
+    def apply(self, state, values, scratch, bound: dict):
+        """Apply the kernel; *bound* caches this call's bound maps."""
+        matrix = bound.get(self.map)
+        if matrix is None:
+            matrix = bound[self.map] = self.map.bind(values)
+        return self.contraction.apply(matrix, state, scratch)
 
 
 class _SegmentOp:
@@ -1261,7 +1421,7 @@ class _SegmentOp:
         self.program = program
         self.slots = slots
 
-    def apply(self, state, values, scratch):
+    def apply(self, state, values, scratch, bound: dict):
         sub_values = None
         if self.slots is not None:
             sub_values = values[self.slots]
@@ -1274,10 +1434,11 @@ class NoisyCompiledProgram:
     Compile once per pair, then :meth:`apply` many times with fresh
     parameter values — mirroring :class:`CompiledProgram` for statevectors.
     Noise-free stretches run through the standard fused kernels on the
-    doubled ``2n``-qubit register; each noisy instruction is one
-    :class:`_SuperOp` contraction carrying its attached channels at exactly
-    the per-instruction anchor the Kraus oracle uses (see the section
-    comment above for the vectorisation convention).
+    doubled ``2n``-qubit register; each run of consecutive noisy
+    instructions spanning at most ``_SUPEROP_FRAME_QUBITS`` source qubits is
+    one :class:`_SuperOp` contraction carrying every attached channel at
+    exactly the per-instruction anchor the Kraus oracle uses (see the
+    section comment above for the vectorisation convention).
     """
 
     def __init__(self, circuit: QuantumCircuit, noise_model=None):
@@ -1288,7 +1449,13 @@ class NoisyCompiledProgram:
         slot_of = {p: slot for slot, p in enumerate(self._parameters)}
         self._ops: list = []
         self._num_superops = 0
+        memo: dict = {}  # embedded channel superoperators
+        maps: dict = {}  # fused maps by factor signature
         pending: List[Instruction] = []
+        # Open fused runs in program order, each ``(frame, members)``: the
+        # frame's source qubits in first-seen order and its (instruction,
+        # attached channels) pairs.
+        groups: list = []
 
         def flush_segment() -> None:
             if not pending:
@@ -1309,6 +1476,14 @@ class NoisyCompiledProgram:
             self._ops.append(_SegmentOp(program, slots if slots.size else None))
             pending.clear()
 
+        def flush_groups() -> None:
+            for frame, members in groups:
+                self._ops.append(
+                    self._build_superop(members, tuple(frame), slot_of, memo, maps)
+                )
+            self._num_superops += len(groups)
+            groups.clear()
+
         for inst in circuit:
             attached = (
                 list(noise_model.exact_channels_for(inst.name, inst.qubits))
@@ -1316,33 +1491,75 @@ class NoisyCompiledProgram:
                 else []
             )
             if not attached:
+                flush_groups()
                 pending.append(inst)
                 continue
             flush_segment()
-            self._ops.append(self._build_superop(inst, attached, slot_of, n))
-            self._num_superops += 1
+            # Join the latest run whose frame can absorb the operands.  An
+            # instruction (channels included) commutes exactly with runs on
+            # disjoint qubits, so it may move back past those, but never
+            # past a run sharing one of its qubits.
+            qubits = set(inst.qubits)
+            target = None
+            for frame, members in reversed(groups):
+                if len(qubits.union(frame)) <= _SUPEROP_FRAME_QUBITS:
+                    target = (frame, members)
+                    break
+                if not qubits.isdisjoint(frame):
+                    break
+            if target is None:
+                target = ([], [])
+                groups.append(target)
+            target[0].extend(q for q in inst.qubits if q not in target[0])
+            target[1].append((inst, attached))
+        flush_groups()
         flush_segment()
+        # A kernel followed by another hands over its frame-first layout;
+        # the last of a run restores canonical order for the segment (or
+        # the caller) after it.
+        layout = None
+        for index, op in enumerate(self._ops):
+            if isinstance(op, _SuperOp):
+                following = self._ops[index + 1] if index + 1 < len(self._ops) else None
+                op.contraction = _FrameContraction(
+                    op.bits, 2 * n, layout, restore=not isinstance(following, _SuperOp)
+                )
+                layout = op.contraction.layout
 
-    def _build_superop(self, inst, attached, slot_of, n) -> _SuperOp:
-        frame = tuple(inst.qubits)
-        sub_dim = 1 << len(frame)
-        channel_super = np.eye(sub_dim * sub_dim, dtype=np.complex128)
-        # Channels fire after the gate, in rule-major order: each later
-        # channel multiplies from the left of the accumulated map.
-        for channel, targets in attached:
-            channel_super = (
-                _frame_channel_superoperator(channel, targets, frame)
-                @ channel_super
-            )
-        doubled_qubits = tuple(q + n for q in frame) + frame
-        refs = tuple(_param_ref(p, slot_of) for p in inst.params)
-        if all(ref[0] is None for ref in refs):
-            unitary = gate_matrix(inst.name, *(ref[2] for ref in refs))
-            matrix = channel_super @ np.kron(unitary, unitary.conj())
-            return _SuperOp(
-                inst.name, doubled_qubits, 2 * n, channel_super, matrix=matrix
-            )
-        return _SuperOp(inst.name, doubled_qubits, 2 * n, channel_super, refs=refs)
+    def _build_superop(self, group, frame, slot_of, memo, maps) -> _SuperOp:
+        n = self._num_qubits
+        width = len(frame)
+        factors: list = []
+        static = None  # product of the static factors since the last parametric one
+
+        def push(matrix) -> None:
+            nonlocal static
+            static = matrix if static is None else matrix @ static
+
+        for inst, attached in group:
+            positions = _doubled([frame.index(q) for q in inst.qubits], width)
+            refs = tuple(_param_ref(p, slot_of) for p in inst.params)
+            if all(ref[0] is None for ref in refs):
+                unitary = gate_matrix(inst.name, *(ref[2] for ref in refs))
+                push(_embed_operator(_kron2(unitary, unitary.conj()), positions, 2 * width))
+            else:
+                if static is not None:
+                    factors.append(static)
+                    static = None
+                factors.append(_ParametricUnitary(inst.name, refs, positions, 2 * width))
+            # Channels fire after the gate, in rule-major order: each later
+            # channel multiplies from the left of the accumulated map.
+            for channel, targets in attached:
+                push(
+                    _frame_channel_superoperator(channel, targets, inst.qubits, frame, memo)
+                )
+        if static is not None:
+            factors.append(static)
+        signature = tuple(
+            f.tobytes() if isinstance(f, np.ndarray) else f.key for f in factors
+        )
+        fused = maps.setdefault(signature, _FusedMap(factors))
+        return _SuperOp(tuple(q + n for q in frame) + tuple(frame), fused)
 
     # -- introspection ---------------------------------------------------
     @property
@@ -1372,7 +1589,7 @@ class NoisyCompiledProgram:
 
     @property
     def num_superops(self) -> int:
-        """Number of noisy instructions lowered to superoperator kernels."""
+        """Number of superoperator kernels (fused runs of noisy instructions)."""
         return self._num_superops
 
     def operation_summary(self) -> dict:
@@ -1417,9 +1634,13 @@ class NoisyCompiledProgram:
                 "batched parameter values are not supported on the "
                 "PTM-compiled density path; bind one value vector at a time"
             )
+        # The kernels GEMM into reshaped views of these buffers, which must
+        # therefore be contiguous.
+        state = np.ascontiguousarray(state, dtype=np.complex128)
         scratch = np.empty_like(state)
+        bound: dict = {}
         for op in self._ops:
-            state, scratch = op.apply(state, values, scratch)
+            state, scratch = op.apply(state, values, scratch, bound)
         return state
 
 

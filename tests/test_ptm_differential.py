@@ -14,6 +14,10 @@ by hand — the generators consume the rng in instruction order, so prefixes
 of a case are themselves valid cases).
 """
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,10 @@ from repro.exceptions import CircuitError, ConfigurationError, SimulationError
 from repro.execution import ExecutionContext, get_backend
 from repro.quantum import QuantumCircuit
 from repro.quantum.density import DensityMatrixSimulator
-from repro.quantum.engine import compile_noisy_circuit
+from repro.graphs.generators import cycle_graph
+from repro.graphs.maxcut import MaxCutProblem
+from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
+from repro.quantum.engine import _embed_operator, compile_noisy_circuit
 from repro.quantum.noise import (
     AmplitudeDampingChannel,
     BitFlip,
@@ -367,3 +374,213 @@ class TestNoisyProgramSurface:
             program.apply(np.zeros(8, dtype=np.complex128), np.array([0.1]))
         with pytest.raises(SimulationError, match="batched"):
             program.apply(vec, np.array([[0.1], [0.2]]))
+
+
+def _assert_matches_oracle(circuit, model, values=None):
+    """The compiled program reproduces the per-instruction Kraus oracle."""
+    compiled = DensityMatrixSimulator(compiled=True).run(
+        circuit, values, noise_model=model
+    )
+    oracle = DensityMatrixSimulator(compiled=False).run(
+        circuit, values, noise_model=model
+    )
+    diff = float(np.abs(compiled.data - oracle.data).max())
+    assert diff < 1e-12, diff
+
+
+class TestFusedFrames:
+    """Consecutive noisy instructions on <= 2 source qubits fuse into one
+    superoperator kernel; every case still matches the Kraus oracle."""
+
+    def test_edge_sandwich_is_one_kernel(self):
+        gamma = Parameter("gamma")
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 2)
+        circuit.rz(gamma, 2)
+        circuit.cx(0, 2)
+        model = NoiseModel.uniform_depolarizing(0.02)
+        program = compile_noisy_circuit(circuit, model)
+        assert program.num_superops == 1
+        assert program.operation_summary() == {"SuperOp": 1}
+        for value in (-1.1, 0.4, 2.7):
+            _assert_matches_oracle(circuit, model, {gamma: value})
+
+    def test_reversed_operand_order(self):
+        gamma = Parameter("gamma")
+        circuit = QuantumCircuit(2)
+        circuit.h(1)
+        circuit.cx(1, 0)
+        circuit.rz(gamma, 0)
+        circuit.cx(1, 0)
+        model = NoiseModel.uniform_depolarizing(0.03)
+        assert compile_noisy_circuit(circuit, model).num_superops == 1
+        _assert_matches_oracle(circuit, model, {gamma: 0.9})
+
+    @pytest.mark.parametrize("qubit", (0, 1))
+    def test_amplitude_damping_on_one_operand(self, qubit):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.ry(0.7, 1)
+        circuit.cx(0, 1)
+        circuit.rxx(0.4, 1, 0)
+        model = (
+            NoiseModel()
+            .add_channel(AmplitudeDampingChannel(0.3), qubits=[qubit])
+            .add_channel(PhaseFlip(0.1), gates=("h", "ry", "rxx"))
+        )
+        assert compile_noisy_circuit(circuit, model).num_superops == 1
+        _assert_matches_oracle(circuit, model)
+
+    @pytest.mark.parametrize("position", (0, 1, 2))
+    def test_parametric_gate_anywhere_in_group(self, position):
+        theta = Parameter("theta")
+        static = [
+            lambda c: c.cx(0, 1),
+            lambda c: c.u3(0.3, -0.8, 1.2, 1),
+            lambda c: c.rzz(0.5, 1, 0),
+        ]
+        circuit = QuantumCircuit(2)
+        for index, add in enumerate(static):
+            if index == position:
+                circuit.rx(theta, position % 2)
+            else:
+                add(circuit)
+        model = NoiseModel.uniform_depolarizing(0.02).add_channel(
+            AmplitudeDampingChannel(0.15), arity=1
+        )
+        assert compile_noisy_circuit(circuit, model).num_superops == 1
+        for value in (-2.0, 0.35, 1.4):
+            _assert_matches_oracle(circuit, model, {theta: value})
+
+    def test_noise_free_instruction_breaks_the_group(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.h(1)
+        model = NoiseModel().add_channel(DepolarizingChannel(0.1), gates=("h",))
+        program = compile_noisy_circuit(circuit, model)
+        assert program.num_superops == 2
+        assert program.num_operations == 3  # kernel, noise-free segment, kernel
+        _assert_matches_oracle(circuit, model)
+
+    def test_third_qubit_splits_the_group(self):
+        circuit = QuantumCircuit(3)
+        circuit.h(0)
+        circuit.h(1)
+        circuit.h(2)
+        circuit.cx(2, 1)
+        circuit.cx(0, 1)
+        model = NoiseModel.uniform_depolarizing(0.05)
+        # {h0, h1} | {h2, cx(2,1)} | {cx(0,1)}
+        assert compile_noisy_circuit(circuit, model).num_superops == 3
+        _assert_matches_oracle(circuit, model)
+
+    def test_instruction_moves_back_past_disjoint_runs_only(self):
+        """A run may absorb a later instruction across runs on other qubits
+        (maps on disjoint qubits commute exactly), never across a shared one."""
+        theta = Parameter("theta")
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 1)
+        circuit.cx(2, 3)
+        circuit.rz(theta, 1)  # joins {0, 1} past the disjoint {2, 3}
+        model = NoiseModel.uniform_depolarizing(0.02)
+        assert compile_noisy_circuit(circuit, model).num_superops == 2
+        _assert_matches_oracle(circuit, model, {theta: 0.8})
+        circuit.cx(1, 2)  # fits neither run: a new {1, 2}
+        circuit.rx(theta, 0)  # joins {0, 1}: {2, 3} and {1, 2} avoid qubit 0
+        circuit.cx(3, 1)  # cannot pass {1, 2}, which shares qubit 1: new run
+        assert compile_noisy_circuit(circuit, model).num_superops == 4
+        _assert_matches_oracle(circuit, model, {theta: -1.3})
+
+    def test_hand_counted_qaoa_kernels(self):
+        """cycle_graph(6) at p = 2: 54 noisy instructions, 14 kernels.
+
+        Edges run (0,1), (0,5), (1,2), (2,3), (3,4), (4,5).  The H wall is
+        3 kernels ({0,1}, {2,3}, {4,5}), and the first layer's (0,1) edge
+        joins {0,1}, commuting back past the two disjoint runs.  Every other
+        edge opens a kernel: the latest run always shares a qubit with it
+        without fitting it.  Each RX joins the latest edge kernel on its
+        qubit ((0,5), (1,2), (2,3), (3,4), (4,5) for RX 0..5), past the
+        disjoint later ones.  So 3 + 5 + 6 = 14.
+        """
+        problem = MaxCutProblem(cycle_graph(6))
+        circuit, gammas, betas = build_parametric_qaoa_circuit(problem, 2)
+        model = NoiseModel.uniform_depolarizing(0.01)
+        program = compile_noisy_circuit(circuit, model)
+        assert len(list(circuit)) == 54
+        assert program.num_superops == 14
+        values = {g: 0.3 + 0.2 * i for i, g in enumerate(gammas)}
+        values.update({b: 0.7 - 0.1 * i for i, b in enumerate(betas)})
+        _assert_matches_oracle(circuit, model, values)
+
+    def test_threads_share_one_program(self):
+        """Kernels hold no scratch: concurrent binds of one program agree."""
+        problem = MaxCutProblem(cycle_graph(4))
+        circuit, _gammas, _betas = build_parametric_qaoa_circuit(problem, 2)
+        program = compile_noisy_circuit(
+            circuit, NoiseModel.uniform_depolarizing(0.02)
+        )
+        rng = np.random.default_rng(5)
+        points = [rng.uniform(-np.pi, np.pi, 4) for _ in range(6)]
+        initial = np.zeros(program.dim, dtype=np.complex128)
+        initial[0] = 1.0
+        serial = [program.apply(initial.copy(), point) for point in points]
+        outcomes = [None] * 4
+
+        def worker(index):
+            outcomes[index] = [
+                program.apply(initial.copy(), point) for point in points * 3
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for results in outcomes:
+            for result, expected in zip(results, serial * 3):
+                assert np.array_equal(result, expected)
+
+
+def _embed_loop(operator, positions, width):
+    """The per-element embedding loop the gather replaced (reference)."""
+    if list(positions) == list(range(width)):
+        return np.asarray(operator, dtype=np.complex128)
+    dim = 1 << width
+    target_bits = [width - 1 - p for p in positions]
+    rest_bits = [b for b in range(width) if b not in target_bits]
+    embedded = np.zeros((dim, dim), dtype=np.complex128)
+    for row in range(dim):
+        row_sub = 0
+        for bit in target_bits:
+            row_sub = (row_sub << 1) | ((row >> bit) & 1)
+        row_rest = [(row >> bit) & 1 for bit in rest_bits]
+        for col in range(dim):
+            if [(col >> bit) & 1 for bit in rest_bits] != row_rest:
+                continue
+            col_sub = 0
+            for bit in target_bits:
+                col_sub = (col_sub << 1) | ((col >> bit) & 1)
+            embedded[row, col] = operator[row_sub, col_sub]
+    return embedded
+
+
+class TestFrameEmbedding:
+    @pytest.mark.parametrize("width", (1, 2, 3, 4))
+    def test_gather_matches_loop_for_every_position_order(self, width):
+        """Widths 1-2 are source frames; 3-4 their doubled vec(rho) frames."""
+        rng = np.random.default_rng(width)
+        for size in range(1, width + 1):
+            dim = 1 << size
+            operator = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for positions in itertools.permutations(range(width), size):
+                assert np.array_equal(
+                    _embed_operator(operator, positions, width),
+                    _embed_loop(operator, positions, width),
+                ), positions
