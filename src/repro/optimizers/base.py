@@ -17,6 +17,10 @@ import numpy as np
 from repro.exceptions import OptimizationError
 
 Objective = Callable[[np.ndarray], float]
+
+#: A batched objective: ``(k, d)`` points in, ``(k,)`` values out, row ``i``
+#: bit-identical to the scalar objective at ``points[i]``.
+BatchObjective = Callable[[np.ndarray], np.ndarray]
 Bounds = Optional[Sequence[Tuple[float, float]]]
 
 
@@ -33,30 +37,77 @@ class CountingObjective:
     An optional *observer* receives ``(num_evaluations, value)`` after each
     evaluation — the hook the solver uses for periodic checkpoint progress
     snapshots without optimizer-specific plumbing.
+
+    *batch* evaluates a stack of points in one call (see
+    :meth:`evaluate_batch`); without one, a batch is a loop over *function*.
+    Every column of a batch counts as one evaluation, exactly as if it had
+    been a scalar call.
     """
 
     def __init__(
         self,
         function: Objective,
         *,
+        batch: Optional[BatchObjective] = None,
         record_history: bool = False,
         observer: Optional[Observer] = None,
     ):
         if not callable(function):
             raise OptimizationError("objective must be callable")
+        if batch is not None and not callable(batch):
+            raise OptimizationError("batch objective must be callable")
         if observer is not None and not callable(observer):
             raise OptimizationError("observer must be callable")
         self._function = function
+        self._batch = batch if batch is not None else self._loop
         self._num_evaluations = 0
+        self._num_batches = 0
         self._record_history = record_history
         self._observer = observer
         self._history: List[float] = []
         self._best_value: Optional[float] = None
         self._best_point: Optional[np.ndarray] = None
+        self._last: Optional[Tuple[np.ndarray, float]] = None
+
+    def _loop(self, points: np.ndarray) -> np.ndarray:
+        return np.array([float(self._function(point)) for point in points])
 
     def __call__(self, point: Sequence[float]) -> float:
         point = np.asarray(point, dtype=float)
         value = float(self._function(point))
+        self._last = (point.copy(), value)
+        self._record(point, value)
+        return value
+
+    def value_at(self, point: np.ndarray) -> float:
+        """The objective at *point*, reusing the latest scalar evaluation.
+
+        A gradient helper calls this for ``f(x)`` right after the optimizer
+        evaluated ``x`` itself, so no evaluation is repeated.
+        """
+        if self._last is not None and np.array_equal(self._last[0], point):
+            return self._last[1]
+        return self(point)
+
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of a ``(k, d)`` matrix in one batched call.
+
+        The columns are counted, recorded and observed in row order, after
+        the batch returns.
+        """
+        points = np.asarray(points, dtype=float)
+        values = np.asarray(self._batch(points), dtype=float)
+        if values.shape != points.shape[:1]:
+            raise OptimizationError(
+                f"batch objective returned shape {values.shape} for "
+                f"{points.shape[0]} points"
+            )
+        self._num_batches += 1
+        for point, value in zip(points, values):
+            self._record(point, float(value))
+        return values
+
+    def _record(self, point: np.ndarray, value: float) -> None:
         self._num_evaluations += 1
         if self._record_history:
             self._history.append(value)
@@ -65,12 +116,16 @@ class CountingObjective:
             self._best_point = point.copy()
         if self._observer is not None:
             self._observer(self._num_evaluations, value)
-        return value
 
     @property
     def num_evaluations(self) -> int:
         """Number of objective evaluations performed so far."""
         return self._num_evaluations
+
+    @property
+    def num_batches(self) -> int:
+        """Number of :meth:`evaluate_batch` calls (finite-difference sweeps)."""
+        return self._num_batches
 
     @property
     def history(self) -> List[float]:
@@ -90,14 +145,22 @@ class CountingObjective:
     def reset(self) -> None:
         """Forget all counters and history."""
         self._num_evaluations = 0
+        self._num_batches = 0
         self._history = []
         self._best_value = None
         self._best_point = None
+        self._last = None
 
 
 @dataclass
 class OptimizationResult:
-    """Outcome of one local-optimizer run."""
+    """Outcome of one local-optimizer run.
+
+    ``num_function_calls`` counts every objective evaluation, gradient
+    probes included (the paper's "FC").  ``num_gradient_calls`` counts the
+    finite-difference gradient sweeps among them (0 for gradient-free
+    methods).
+    """
 
     optimal_parameters: np.ndarray
     optimal_value: float
@@ -107,6 +170,7 @@ class OptimizationResult:
     optimizer_name: str
     message: str = ""
     history: List[float] = field(default_factory=list)
+    num_gradient_calls: int = 0
 
     def __post_init__(self) -> None:
         self.optimal_parameters = np.asarray(self.optimal_parameters, dtype=float)
@@ -172,11 +236,16 @@ class Optimizer(ABC):
         initial_point: Sequence[float],
         bounds: Bounds = None,
         observer: Optional[Observer] = None,
+        batch: Optional[BatchObjective] = None,
     ) -> OptimizationResult:
         """Minimize *objective* starting from *initial_point*.
 
         *observer*, when given, is called with ``(num_evaluations, value)``
         after every objective evaluation (see :class:`CountingObjective`).
+        *batch*, when given, evaluates ``(k, d)`` stacks of points with rows
+        bit-identical to *objective*; finite-difference gradients send all
+        their probes through it in one call.  Without it a batch is a loop
+        over *objective*, so results do not depend on whether it is given.
         """
         initial_point = np.asarray(initial_point, dtype=float)
         if initial_point.ndim != 1 or initial_point.size == 0:
@@ -195,10 +264,14 @@ class Optimizer(ABC):
                 if low > high:
                     raise OptimizationError(f"invalid bound ({low}, {high})")
         counting = CountingObjective(
-            objective, record_history=self._record_history, observer=observer
+            objective,
+            batch=batch,
+            record_history=self._record_history,
+            observer=observer,
         )
         result = self._minimize(counting, initial_point, bounds)
         result.history = counting.history
+        result.num_gradient_calls = counting.num_batches
         return result
 
     def maximize(
@@ -207,18 +280,27 @@ class Optimizer(ABC):
         initial_point: Sequence[float],
         bounds: Bounds = None,
         observer: Optional[Observer] = None,
+        batch: Optional[BatchObjective] = None,
     ) -> OptimizationResult:
         """Maximize *objective* (minimizes its negation and flips the value).
 
         An *observer* sees the values in the caller's (maximization)
-        orientation.
+        orientation; *batch* is negated like *objective*.
         """
         flipped = None
         if observer is not None:
             def flipped(count: int, value: float) -> None:
                 observer(count, -value)
+        negated_batch = None
+        if batch is not None:
+            def negated_batch(points: np.ndarray) -> np.ndarray:
+                return -np.asarray(batch(points), dtype=float)
         result = self.minimize(
-            lambda x: -float(objective(x)), initial_point, bounds, observer=flipped
+            lambda x: -float(objective(x)),
+            initial_point,
+            bounds,
+            observer=flipped,
+            batch=negated_batch,
         )
         result.optimal_value = -result.optimal_value
         result.history = [-value for value in result.history]

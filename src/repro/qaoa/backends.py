@@ -47,13 +47,24 @@ def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.real**2 + amplitudes.imag**2
 
 
+def row_dots(rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """``row @ diagonal`` per row: the scalar path's reduction, bit for bit.
+
+    One ``(B, dim) @ (dim,)`` product sums in a different order and can
+    differ from the scalar expectation in the last bits.
+    """
+    return np.array([row @ diagonal for row in rows], dtype=float)
+
+
 def _expectation_batch(program, matrix: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Batched ``probabilities @ diagonal``, in memory-bounded row chunks."""
     values = np.empty(matrix.shape[0], dtype=float)
     chunk = max(1, BATCH_ELEMENT_BUDGET // diagonal.size)
     for start in range(0, matrix.shape[0], chunk):
         block = matrix[start : start + chunk]
-        values[start : start + block.shape[0]] = program.probability_rows(block) @ diagonal
+        values[start : start + block.shape[0]] = row_dots(
+            program.probability_rows(block), diagonal
+        )
     return values
 
 

@@ -82,6 +82,7 @@ from repro.execution.context import (
 )
 from repro.execution.registry import get_backend
 from repro.graphs.maxcut import MaxCutProblem
+from repro.qaoa.backends import row_dots
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.engine import BATCH_ELEMENT_BUDGET
 from repro.quantum.noise import (
@@ -414,9 +415,12 @@ class ExpectationEvaluator:
         :class:`~repro.qaoa.parameters.QAOAParameters` or flat vectors of
         one depth.  Both backends sweep the whole batch through the compiled
         engine as batch-major ``(batch, dim)`` rows in memory-bounded chunks
-        — no per-row Python loop on either backend, so the two stay
+        — no per-row evolution on either backend, so the two stay
         interchangeable for consumers such as the landscape scan and the
-        solver's restart screening.
+        solver's restart screening.  On a deterministic context, row ``i``
+        is bit-identical to ``expectation(params_matrix[i])`` (each row is
+        reduced like a scalar call), so the solver can send
+        finite-difference probes through one batch without changing a bit.
 
         A pure shot budget (no noise model) stays vectorized: the exact
         probability columns are computed in one batched sweep and each column
@@ -490,8 +494,8 @@ class ExpectationEvaluator:
         """Exact batch sweep with infinite-shot readout corruption per row."""
         results = np.empty(matrix.shape[0], dtype=float)
         for start, stop, rows in self._probability_rows_chunks(matrix):
-            results[start:stop] = (
-                self._readout_transform(rows) @ self._stochastic_diagonal
+            results[start:stop] = row_dots(
+                self._readout_transform(rows), self._stochastic_diagonal
             )
         return results
 

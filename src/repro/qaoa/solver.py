@@ -128,7 +128,8 @@ class QAOASolver:
         Optional :class:`~repro.resilience.faults.FaultInjector`; when set,
         every objective evaluation first checks the ``backend.evaluate``
         site, so chaos tests can fail (or delay) the oracle on an exact,
-        replayable schedule.
+        replayable schedule.  A batched gradient sweep checks the site once
+        per column, in column order, before it runs.
     backend, shots, noise_model, trajectories, density, readout_error, mitigate_readout:
         **Deprecated** — the legacy kwarg spelling of the context fields.
         Passing any of them builds the equivalent context internally
@@ -378,8 +379,14 @@ class QAOASolver:
             program=self._compiled_program(problem, depth),
         )
         objective = evaluator.expectation
+        # A deterministic oracle evaluates finite-difference probes as one
+        # batched sweep (rows bit-identical to scalar calls); a stochastic
+        # one keeps one draw per call, in call order.
+        batch = None if evaluator.is_stochastic else evaluator.expectation_batch
         if self._fault_injector is not None:
             objective = self._fault_injector.wrap("backend.evaluate", objective)
+            if batch is not None:
+                batch = self._fault_injector.wrap_batch("backend.evaluate", batch)
         bounds = parameter_bounds(depth) if self._use_bounds else None
         screening_calls = 0
         records: List[RestartRecord] = []
@@ -445,7 +452,7 @@ class QAOASolver:
                     slot, snapshot_now, index, checkpoint_interval
                 )
             record = self._run_single(
-                objective, starts[index], bounds, optimizer, observer=observer
+                objective, starts[index], bounds, optimizer, observer=observer, batch=batch
             )
             records.append(record)
             if best_record is None or record.optimal_expectation > best_record.optimal_expectation:
@@ -527,10 +534,11 @@ class QAOASolver:
         bounds,
         optimizer: Optional[Optimizer] = None,
         observer=None,
+        batch=None,
     ) -> RestartRecord:
         optimizer = optimizer if optimizer is not None else self._optimizer
         result = optimizer.maximize(
-            objective, start.to_vector(), bounds, observer=observer
+            objective, start.to_vector(), bounds, observer=observer, batch=batch
         )
         return RestartRecord(
             initial_parameters=start,

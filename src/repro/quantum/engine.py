@@ -373,18 +373,20 @@ def _kron_power_tables(num_bits: int):
 def _kron_power(entries, num_bits: int) -> np.ndarray:
     """``G^{(x) num_bits}`` from *G*'s nested entries, by one gather.
 
-    Entries may be per-row ``(B,)`` arrays, giving a ``(B, W, W)`` stack.
+    Entries may be per-row ``(B,)`` arrays, giving a C-contiguous
+    ``(B, W, W)`` stack whose rows are bit-identical to scalar binds.
     """
     gather, index = _kron_power_tables(num_bits)
-    flat = np.stack(
-        np.broadcast_arrays(*(entry for row in entries for entry in row)), axis=-1
-    )
+    flat = [entry for row in entries for entry in row]
+    if len({np.shape(entry) for entry in flat}) > 1:
+        flat = np.broadcast_arrays(*flat)
+    flat = np.array(flat, dtype=np.complex128).T
     powers = np.empty(flat.shape[:-1] + (num_bits + 1, 4), dtype=np.complex128)
     powers[..., 0, :] = 1.0
     for exponent in range(num_bits):
         np.multiply(powers[..., exponent, :], flat, out=powers[..., exponent + 1, :])
     powers = powers.reshape(flat.shape[:-1] + (-1,))
-    return np.prod(powers[..., gather], axis=-1)[..., index]
+    return np.take(np.prod(powers[..., gather], axis=-1), index, axis=-1)
 
 
 class _FusedKronOp:
@@ -457,10 +459,10 @@ class _RightGemmOp(_FusedKronOp):
 
     def _finalize(self, matrix: np.ndarray) -> np.ndarray:
         # Rows of the (.., dim / W, W) view hold the low-qubit blocks, so the
-        # block matrix acts from the right (transposed; contiguous when
-        # static so repeated binds hit the fast GEMM path).
-        transposed = np.swapaxes(matrix, -1, -2)
-        return np.ascontiguousarray(transposed) if matrix.ndim == 2 else transposed
+        # block matrix acts from the right (transposed, and contiguous: static
+        # binds hit the fast GEMM path, and a batched bind makes the same
+        # BLAS call per row as a scalar one, so its rows are bit-identical).
+        return np.ascontiguousarray(np.swapaxes(matrix, -1, -2))
 
     def apply(self, state: np.ndarray, values, scratch):
         width = 1 << len(self.bits)

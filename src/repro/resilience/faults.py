@@ -24,7 +24,8 @@ Instrumented sites in the library:
     policy and circuit breaker like real failures).
 ``backend.evaluate``
     :class:`~repro.qaoa.solver.QAOASolver` checks once per objective
-    evaluation when built with ``fault_injector=``.
+    evaluation when built with ``fault_injector=`` (a batched gradient
+    sweep checks once per column before it runs).
 ``cache.read`` / ``cache.write``
     :class:`~repro.service.persistence.PersistentResultCache` filters entry
     bytes through the injector, so ``corrupt`` faults produce real
@@ -325,6 +326,21 @@ class FaultInjector:
         def guarded(*args, **kwargs):
             self.check(site)
             return function(*args, **kwargs)
+
+        return guarded
+
+    def wrap_batch(self, site: str, function: Callable) -> Callable:
+        """Return a batch *function* guarded by one :meth:`check` per row.
+
+        All rows are checked, in row order, before the batch runs, so a
+        batch of ``k`` points consumes the same ``k`` operation indices as
+        ``k`` scalar calls.
+        """
+
+        def guarded(points, *args, **kwargs):
+            for _ in range(len(points)):
+                self.check(site)
+            return function(points, *args, **kwargs)
 
         return guarded
 

@@ -64,6 +64,31 @@ class TestRetryUnderChaos:
         assert result.num_function_calls == baseline.num_function_calls
         assert result.num_shots == baseline.num_shots
 
+    def test_transient_fault_inside_gradient_sweep_retried_bit_identically(
+        self, problem
+    ):
+        # Exact L-BFGS-B at p=1: evaluation 0 is f(x0), 1-2 its gradient
+        # probes, sent as one batched sweep that checks each column first.
+        baseline = fault_free_result(problem)
+        injector = FaultInjector(
+            FaultPlan([Fault("backend.evaluate", 2, "transient")]), sleep=NO_SLEEP
+        )
+        with SolverService(
+            max_workers=1,
+            max_retries=1,
+            retry_policy=RetryPolicy.no_delay(),
+            fault_injector=injector,
+        ) as service:
+            handle = service.submit(problem, depth=1, seed=7)
+            result = handle.result(timeout=120)
+        assert handle.retries == 1
+        assert injector.injected == [("backend.evaluate", 2, "transient")]
+        # The failed attempt consumed operations 0-2, as scalar probes would.
+        assert injector.operations("backend.evaluate") == 3 + baseline.num_function_calls
+        assert result.num_function_calls == baseline.num_function_calls
+        assert result.optimal_expectation == baseline.optimal_expectation
+        assert result.optimal_parameters == baseline.optimal_parameters
+
     def test_retry_budget_exhaustion_fails_with_last_error(self, problem):
         injector = FaultInjector(
             FaultPlan([Fault("worker.run", i, "transient") for i in range(5)]),
